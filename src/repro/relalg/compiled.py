@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
@@ -405,53 +406,67 @@ class CompiledEngine:
     def _compile(self, plan: Plan) -> _Unit:
         # Unit lookups go through ``peek``: reusing compiled code is not
         # result-cache traffic, so it must not skew hit/miss counters.
+        # Each node's ``plan_key`` is taken once, when the node is first
+        # scheduled, and travels with it: to the second visit, to the
+        # parent (which finds its child units by it) and into the
+        # lowering function that stamps it on the unit.
         units = self._units
+        peek = units.peek
         key = plan_key(plan)
-        cached = units.peek(key)
+        cached = peek(key)
         if cached is not None:
             return cached
-        work: list[tuple[Plan, bool]] = [(plan, False)]
+        # One walk fills the footprint memo of every node; the per-node
+        # reads below are then dict hits instead of a walk each.
+        dependencies(plan)
+        work: list[tuple[Plan, tuple, tuple[tuple, ...] | None]] = [
+            (plan, key, None)
+        ]
+        pop = work.pop
+        push = work.append
         while work:
-            node, expanded = work.pop()
-            node_key = plan_key(node)
-            if units.peek(node_key) is not None:
+            node, node_key, kid_keys = pop()
+            if peek(node_key) is not None:
                 continue
-            kids = _unit_children(node)
-            if not expanded:
-                work.append((node, True))
-                for child in reversed(kids):
-                    work.append((child, False))
-            else:
-                unit = self._build_unit(
-                    node, tuple(units.peek(plan_key(child)) for child in kids)
-                )
-                unit.deps = dependencies(node)
-                units.put(node_key, unit, unit.deps)
-        return units.peek(key)
+            if kid_keys is None:
+                kids = _unit_children(node)
+                kid_keys = tuple(map(plan_key, kids))
+                if kids:
+                    # Revisit once the children are built (a scan has
+                    # none and is built on this first visit).
+                    push((node, node_key, kid_keys))
+                    for i in range(len(kids) - 1, -1, -1):
+                        push((kids[i], kid_keys[i], None))
+                    continue
+            unit = self._build_unit(node, node_key, tuple(map(peek, kid_keys)))
+            unit.deps = dependencies(node)
+            units.put(node_key, unit, unit.deps)
+        return peek(key)
 
-    def _build_unit(self, node: Plan, children: tuple[_Unit, ...]) -> _Unit:
+    def _build_unit(
+        self, node: Plan, key: tuple, children: tuple[_Unit, ...]
+    ) -> _Unit:
         if isinstance(node, Scan):
-            return self._compile_scan(node)
+            return self._compile_scan(node, key)
         if isinstance(node, Join):
-            return _compile_join(node, children)
+            return _compile_join(node, key, children)
         if isinstance(node, Semijoin):
-            return _compile_semijoin(node, children)
+            return _compile_semijoin(node, key, children)
         if isinstance(node, Project):
             child = node.child
             if isinstance(child, Join):
-                return _compile_project_join(node, children)
+                return _compile_project_join(node, key, children)
             if isinstance(child, Semijoin):
-                return _compile_project_semijoin(node, children)
-            return _compile_project(node, children)
+                return _compile_project_semijoin(node, key, children)
+            return _compile_project(node, key, children)
         raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
 
-    def _compile_scan(self, scan: Scan) -> _Unit:
+    def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
         base = self._database.get(scan.relation)
         first_position, equalities, out_positions = _scan_layout(scan, base)
         header = scan.columns
         arity = len(header)
         constants = list(scan.constants)
-        key = plan_key(scan)
         base_rows = base.rows
 
         if not constants and not equalities:
@@ -550,13 +565,12 @@ def _join_layout(left_cols: tuple[str, ...], right_cols: tuple[str, ...]):
     return shared, left_key, right_key, right_extra
 
 
-def _compile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
+def _compile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
     left_cols = node.left.columns
     right_cols = node.right.columns
     shared, left_key, right_key, right_extra = _join_layout(left_cols, right_cols)
     header = node.columns
     arity = len(header)
-    key = plan_key(node)
 
     if not shared:
 
@@ -655,13 +669,12 @@ def _semijoin_key_lookup(
     return lookup
 
 
-def _compile_semijoin(node: Semijoin, children: tuple[_Unit, ...]) -> _Unit:
+def _compile_semijoin(node: Semijoin, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
     left_cols = node.left.columns
     right_cols = node.right.columns
     shared, left_key, right_key, _ = _join_layout(left_cols, right_cols)
     header = node.columns
     arity = len(header)
-    key = plan_key(node)
 
     if not shared:
         # Degenerate nonemptiness filter, mirroring Relation.semijoin.
@@ -707,7 +720,9 @@ def _project_spec(
     return spec
 
 
-def _compile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
+def _compile_project_join(
+    node: Project, key: tuple, children: tuple[_Unit, ...]
+) -> _Unit:
     join = node.child
     assert isinstance(join, Join)
     left_cols = join.left.columns
@@ -718,7 +733,6 @@ def _compile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
     wide_arity = len(join.columns)
     header = node.columns
     out_arity = len(header)
-    key = plan_key(node)
 
     spec = _project_spec(header, left_cols, extra_cols)
     left_only = all(side == "l" for side, _ in spec)
@@ -856,7 +870,9 @@ def _compile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
     return _Unit(fn=run_project_join, children=children, key=key, header=header)
 
 
-def _compile_project_semijoin(node: Project, children: tuple[_Unit, ...]) -> _Unit:
+def _compile_project_semijoin(
+    node: Project, key: tuple, children: tuple[_Unit, ...]
+) -> _Unit:
     semi = node.child
     assert isinstance(semi, Semijoin)
     left_cols = semi.left.columns
@@ -865,7 +881,6 @@ def _compile_project_semijoin(node: Project, children: tuple[_Unit, ...]) -> _Un
     semi_arity = len(semi.columns)
     header = node.columns
     out_arity = len(header)
-    key = plan_key(node)
     positions = [left_cols.index(name) for name in header]
     eml = _tuple_extractor(positions)
 
@@ -913,11 +928,10 @@ def _compile_project_semijoin(node: Project, children: tuple[_Unit, ...]) -> _Un
     )
 
 
-def _compile_project(node: Project, children: tuple[_Unit, ...]) -> _Unit:
+def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
     child_cols = node.child.columns
     header = node.columns
     arity = len(header)
-    key = plan_key(node)
     positions = [child_cols.index(name) for name in header]
 
     if positions == list(range(len(child_cols))):
@@ -972,9 +986,10 @@ def _compile_project(node: Project, children: tuple[_Unit, ...]) -> _Unit:
 # (immutable) base relation, so it is precomputed once per compiled
 # unit — constant/equality selections included — and exposed on the
 # unit as ``const_batch``.  Parents exploit constant children: a join
-# whose right operand is a scan prebuilds its hash index (row path) or
-# its sorted key array (array path) during compilation, so the
-# steady-state cost of those joins is the probe loop alone.  A catalog
+# whose right operand is a scan prebuilds its hash index (row path)
+# during compilation and keeps its sorted key array (array path) from
+# the first array-path call on, so the steady-state cost of those joins
+# is the probe loop alone.  A catalog
 # mutation bumps the mutated relation's version, which evicts exactly
 # the compiled units (and folded batches) whose dependency footprint
 # includes it; units over untouched relations survive.
@@ -1110,31 +1125,45 @@ def _npdistinct_cols(cols, nrows: int):
     return len(first), tuple(c[first] for c in cols)
 
 
+def _on_demand(build: Callable, *args) -> Callable[[], Any]:
+    """Thunk returning ``build(*args)``, computed on the first call and
+    kept.  Array-path build sides over a *constant* right child (any
+    scan) are the same on every execution, so a unit keeps them — but it
+    builds them on its first array-path call, not at compile time: a
+    unit whose batches all stay under ``_ARRAY_MIN`` never takes the
+    array path and never pays for the sort."""
+    cell: list = []
+
+    def get():
+        if not cell:
+            cell.append(build(*args))
+        return cell[0]
+
+    return get
+
+
 def _npjoin_index(batch: Batch, right_key: Sequence[int], rarity: int):
-    """Compile-time build side of :func:`_npmatch_sorted` for a constant
-    right child: its ``(order, sorted_keys)``, computed once."""
+    """Build side of :func:`_npmatch_sorted`: the batch's
+    ``(order, sorted_keys)``."""
     rkeys = _npkeys(_to_cols(batch, rarity), right_key)
     order = _np.argsort(rkeys, kind="stable")
     return order, rkeys[order]
 
 
+def _npsorted_keys(batch: Batch, right_key: Sequence[int], rarity: int):
+    """Build side of :func:`_npmask`: the batch's sorted key array."""
+    return _np.sort(_npkeys(_to_cols(batch, rarity), right_key))
+
+
 def _npsemijoin_lookup(right_unit: _Unit, right_key: Sequence[int], rarity: int):
     """Sorted right-key array for array-path membership probes.  A
-    constant right child (any scan) is sorted here, once per
-    compilation; anything else sorts its batch each run."""
+    constant right child is sorted once, on the unit's first array-path
+    call; anything else sorts its batch each run."""
     batch = right_unit.const_batch
     if batch is not None:
-        rsorted = _np.sort(_npkeys(_to_cols(batch, rarity), right_key))
-
-        def lookup(rbatch: Batch):
-            return rsorted
-
-        return lookup
-
-    def lookup(rbatch: Batch):
-        return _np.sort(_npkeys(_to_cols(rbatch, rarity), right_key))
-
-    return lookup
+        rsorted = _on_demand(_npsorted_keys, batch, right_key, rarity)
+        return lambda rbatch: rsorted()
+    return lambda rbatch: _npsorted_keys(rbatch, right_key, rarity)
 
 
 def _decode_batch(header: tuple[str, ...], batch: Batch) -> Relation:
@@ -1207,7 +1236,7 @@ def _vsemijoin_lookup(
     return lookup
 
 
-def _vcompile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
+def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
     shared, left_key, right_key, right_extra = _join_layout(
         node.left.columns, node.right.columns
     )
@@ -1215,7 +1244,6 @@ def _vcompile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
     arity = len(header)
     larity = len(node.left.columns)
     rarity = len(node.right.columns)
-    key = plan_key(node)
     use_np = _np is not None
     trace = (arity,)
 
@@ -1342,7 +1370,7 @@ def _vcompile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
     if use_np:
         rconst = children[1].const_batch
         np_rindex = (
-            _npjoin_index(rconst, right_key, rarity)
+            _on_demand(_npjoin_index, rconst, right_key, rarity)
             if rconst is not None and rconst[0]
             else None
         )
@@ -1356,7 +1384,7 @@ def _vcompile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
                 rcols = _to_cols(rbatch, rarity)
                 lkeys = _npkeys(lcols, left_key)
                 if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex)
+                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex())
                 else:
                     lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
                 cardinality = len(lidx)
@@ -1435,7 +1463,9 @@ def _vcompile_join(node: Join, children: tuple[_Unit, ...]) -> _Unit:
     return _Unit(fn=run_join, children=children, key=key, header=header)
 
 
-def _vcompile_semijoin(node: Semijoin, children: tuple[_Unit, ...]) -> _Unit:
+def _vcompile_semijoin(
+    node: Semijoin, key: tuple, children: tuple[_Unit, ...]
+) -> _Unit:
     shared, left_key, right_key, _ = _join_layout(
         node.left.columns, node.right.columns
     )
@@ -1443,7 +1473,6 @@ def _vcompile_semijoin(node: Semijoin, children: tuple[_Unit, ...]) -> _Unit:
     arity = len(header)
     larity = len(node.left.columns)
     rarity = len(node.right.columns)
-    key = plan_key(node)
     use_np = _np is not None
     trace = (arity,)
 
@@ -1503,7 +1532,9 @@ def _vcompile_semijoin(node: Semijoin, children: tuple[_Unit, ...]) -> _Unit:
     return _Unit(fn=run_semijoin, children=children, key=key, header=header)
 
 
-def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
+def _vcompile_project_join(
+    node: Project, key: tuple, children: tuple[_Unit, ...]
+) -> _Unit:
     join = node.child
     assert isinstance(join, Join)
     left_cols = join.left.columns
@@ -1516,7 +1547,6 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
     out_arity = len(header)
     larity = len(left_cols)
     rarity = len(right_cols)
-    key = plan_key(node)
     use_np = _np is not None
 
     spec = _project_spec(header, left_cols, extra_cols)
@@ -1743,7 +1773,7 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
         if use_np:
             rconst = children[1].const_batch
             np_rsorted = (
-                _npjoin_index(rconst, right_key, rarity)[1]
+                _on_demand(_npsorted_keys, rconst, right_key, rarity)
                 if rconst is not None and rconst[0]
                 else None
             )
@@ -1755,11 +1785,9 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
                 if ln and rn:
                     lcols = _to_cols(lbatch, larity)
                     rsorted = (
-                        np_rsorted
+                        np_rsorted()
                         if np_rsorted is not None
-                        else _np.sort(
-                            _npkeys(_to_cols(rbatch, rarity), right_key)
-                        )
+                        else _npsorted_keys(rbatch, right_key, rarity)
                     )
                     lkeys = _npkeys(lcols, left_key)
                     lo = _np.searchsorted(rsorted, lkeys, side="left")
@@ -1856,7 +1884,7 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
     if use_np:
         rconst = children[1].const_batch
         np_rindex = (
-            _npjoin_index(rconst, right_key, rarity)
+            _on_demand(_npjoin_index, rconst, right_key, rarity)
             if rconst is not None and rconst[0]
             else None
         )
@@ -1870,7 +1898,7 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
                 rcols = _to_cols(rbatch, rarity)
                 lkeys = _npkeys(lcols, left_key)
                 if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex)
+                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex())
                 else:
                     lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
                 wide = len(lidx)
@@ -1957,7 +1985,7 @@ def _vcompile_project_join(node: Project, children: tuple[_Unit, ...]) -> _Unit:
 
 
 def _vcompile_project_semijoin(
-    node: Project, children: tuple[_Unit, ...]
+    node: Project, key: tuple, children: tuple[_Unit, ...]
 ) -> _Unit:
     semi = node.child
     assert isinstance(semi, Semijoin)
@@ -1968,7 +1996,6 @@ def _vcompile_project_semijoin(
     out_arity = len(header)
     larity = len(left_cols)
     rarity = len(semi.right.columns)
-    key = plan_key(node)
     positions = tuple(left_cols.index(name) for name in header)
     eml = _tuple_extractor(positions)
     use_np = _np is not None
@@ -2067,12 +2094,11 @@ def _vcompile_project_semijoin(
     )
 
 
-def _vcompile_project(node: Project, children: tuple[_Unit, ...]) -> _Unit:
+def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
     child_cols = node.child.columns
     header = node.columns
     arity = len(header)
     carity = len(child_cols)
-    key = plan_key(node)
     positions = tuple(child_cols.index(name) for name in header)
     use_np = _np is not None
     trace = (arity,)
@@ -2109,7 +2135,9 @@ def _vcompile_project(node: Project, children: tuple[_Unit, ...]) -> _Unit:
     return _Unit(fn=run_project, children=children, key=key, header=header)
 
 
-def _vcompile_project_scan(node: Project, scan_unit: _Unit) -> _Unit:
+def _vcompile_project_scan(
+    node: Project, key: tuple, scan_unit: _Unit
+) -> _Unit:
     """Fold a projection of a scan into a constant unit.
 
     A projected scan is a function of one immutable base relation — the
@@ -2140,7 +2168,6 @@ def _vcompile_project_scan(node: Project, scan_unit: _Unit) -> _Unit:
         rows = list(dict.fromkeys(map(eml, _to_rows(s_payload, s_n))))
         batch = (len(rows), rows)
     card = batch[0]
-    key = plan_key(node)
     proj_built = not identity
     # Every stats delta of the folded scan + projection pair is a
     # compile-time constant, so the unit replays both events with a
@@ -2186,6 +2213,20 @@ def _vcompile_project_scan(node: Project, scan_unit: _Unit) -> _Unit:
 #: keeping generated nesting (and code size) bounded on the thousands-of-
 #: atoms plans of the Figure 6 scaling regime.
 _PIPE_MAX = 8
+
+#: Bound of the process-wide code-object cache behind
+#: :func:`_pipeline_code` (distinct generated kernel sources kept).
+_PIPE_CODE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_PIPE_CODE_CACHE_SIZE)
+def _pipeline_code(source: str):
+    """Code object of a generated pipeline kernel, one per distinct
+    source text.  The kernels are positional — stage kinds, key and
+    column offsets only, no names and no data — so every chain of the
+    same shape, in any plan, engine or catalog, shares one code object
+    and ``compile`` runs once per shape per process."""
+    return compile(source, "<repro.relalg.pipeline>", "exec")
 
 
 @dataclass(eq=False)
@@ -2381,7 +2422,7 @@ def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
 
 
 def _vcompile_pipeline(
-    node: Plan, pipe: _Pipe, project: tuple[str, ...] | None
+    node: Plan, key: tuple, pipe: _Pipe, project: tuple[str, ...] | None
 ) -> _Unit:
     """Fuse a chain of joins/semijoins over constant right sides (plus an
     optional projection on top) into one generated nested-loop kernel.
@@ -2398,11 +2439,16 @@ def _vcompile_pipeline(
     (filters) equals the intermediate's distinct cardinality.  Inputs at
     or above the array threshold divert to :func:`_pipe_np_run`, which
     runs the same chain with whole-column gathers.
+
+    What is paid where: the code object is per *shape*
+    (:func:`_pipeline_code`); the namespace it is ``exec``-ed into — row
+    probe structures, the stats closure, the sticky ``_mode`` cell — is
+    per unit; the array-path build sides are per unit and built by the
+    first call that takes the array path.
     """
     source = pipe.source
     stages = pipe.stages
     header = node.columns
-    key = plan_key(node)
     use_np = _np is not None
 
     # Replay the stages to map every chain column to its loop variable
@@ -2455,22 +2501,25 @@ def _vcompile_pipeline(
     ns["_finish"] = finish
 
     if use_np:
-        np_list = []
-        for st in stages:
-            rbatch = st.right.const_batch
-            rarity = len(st.right.header)
-            np_index = np_extras = np_sorted = None
-            if st.n_right:
-                rcols = _to_cols(rbatch, rarity)
-                if st.kind == "join":
+
+        def build_npstages():
+            built = []
+            for st in stages:
+                rbatch = st.right.const_batch
+                rarity = len(st.right.header)
+                np_index = np_extras = np_sorted = None
+                if st.n_right and st.kind == "join":
+                    rcols = _to_cols(rbatch, rarity)
                     np_index = _npjoin_index(rbatch, st.right_key, rarity)
                     np_extras = tuple(rcols[p] for p in st.right_extra)
-                else:
-                    np_sorted = _np.sort(_npkeys(rcols, st.right_key))
-            np_list.append(
-                (st.kind, st.n_right, st.left_key, np_index, np_extras, np_sorted)
-            )
-        npstages = tuple(np_list)
+                elif st.n_right:
+                    np_sorted = _npsorted_keys(rbatch, st.right_key, rarity)
+                built.append(
+                    (st.kind, st.n_right, st.left_key, np_index, np_extras, np_sorted)
+                )
+            return tuple(built)
+
+        npstages = _on_demand(build_npstages)
         proj_positions = (
             tuple(pipe.columns.index(name) for name in header)
             if project is not None
@@ -2480,7 +2529,7 @@ def _vcompile_pipeline(
 
         def np_fallback(stats, lbatch):
             return _pipe_np_run(
-                stats, lbatch, arity0, npstages, finish, proj_positions
+                stats, lbatch, arity0, npstages(), finish, proj_positions
             )
 
         ns["_npfall"] = np_fallback
@@ -2561,7 +2610,7 @@ def _vcompile_pipeline(
         counts += ","
     lines.append(f"    _finish(stats, ln, ({counts}), len(out))")
     lines.append("    return len(out), out")
-    exec(compile("\n".join(lines), "<repro.relalg.pipeline>", "exec"), ns)
+    exec(_pipeline_code("\n".join(lines)), ns)
 
     unit = _Unit(
         fn=ns["run_pipe"], children=(source,), key=key, header=header
@@ -2575,12 +2624,15 @@ def _vcompile_pipeline(
 
 def _try_pipeline(
     chain: Join | Semijoin,
+    key: tuple,
     children: tuple[_Unit, ...],
     project: Project | None,
 ) -> _Unit | None:
     """Fused pipeline unit for ``chain`` (optionally topped by
     ``project``) when its left child already carries a pipe and its
-    right side can become one more stage; ``None`` otherwise."""
+    right side can become one more stage; ``None`` otherwise.  ``key``
+    is the ``plan_key`` of the unit's root: ``project`` when there is
+    one, else ``chain``."""
     base = children[0].pipe
     if base is None or len(base.stages) >= _PIPE_MAX:
         return None
@@ -2589,8 +2641,8 @@ def _try_pipeline(
         return None
     pipe = _Pipe(base.source, base.stages + (stage,), chain.columns)
     if project is None:
-        return _vcompile_pipeline(chain, pipe, project=None)
-    return _vcompile_pipeline(project, pipe, project=project.columns)
+        return _vcompile_pipeline(chain, key, pipe, project=None)
+    return _vcompile_pipeline(project, key, pipe, project=project.columns)
 
 
 class VectorizedEngine(CompiledEngine):
@@ -2627,34 +2679,36 @@ class VectorizedEngine(CompiledEngine):
         unit = self._compile(plan)
         return _decode_batch(unit.header, self._run(unit, stats))
 
-    def _build_unit(self, node: Plan, children: tuple[_Unit, ...]) -> _Unit:
+    def _build_unit(
+        self, node: Plan, key: tuple, children: tuple[_Unit, ...]
+    ) -> _Unit:
         if isinstance(node, Scan):
-            return self._compile_scan(node)
+            return self._compile_scan(node, key)
         if isinstance(node, Join):
-            unit = _try_pipeline(node, children, project=None)
+            unit = _try_pipeline(node, key, children, project=None)
             if unit is not None:
                 return unit
-            return _attach_pipe(_vcompile_join(node, children), node, children)
+            return _attach_pipe(_vcompile_join(node, key, children), node, children)
         if isinstance(node, Semijoin):
-            unit = _try_pipeline(node, children, project=None)
+            unit = _try_pipeline(node, key, children, project=None)
             if unit is not None:
                 return unit
             return _attach_pipe(
-                _vcompile_semijoin(node, children), node, children
+                _vcompile_semijoin(node, key, children), node, children
             )
         if isinstance(node, Project):
             child = node.child
             if isinstance(child, (Join, Semijoin)):
-                unit = _try_pipeline(child, children, project=node)
+                unit = _try_pipeline(child, key, children, project=node)
                 if unit is not None:
                     return unit
             if isinstance(child, Join):
-                return _vcompile_project_join(node, children)
+                return _vcompile_project_join(node, key, children)
             if isinstance(child, Semijoin):
-                return _vcompile_project_semijoin(node, children)
+                return _vcompile_project_semijoin(node, key, children)
             if isinstance(child, Scan):
-                return _vcompile_project_scan(node, children[0])
-            return _vcompile_project(node, children)
+                return _vcompile_project_scan(node, key, children[0])
+            return _vcompile_project(node, key, children)
         raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
 
     def _run_uncached(self, unit: _Unit, stats: ExecutionStats):
@@ -2689,12 +2743,11 @@ class VectorizedEngine(CompiledEngine):
                 append(fn(stats))
         return values[0]
 
-    def _compile_scan(self, scan: Scan) -> _Unit:
+    def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
         base = self._database.get(scan.relation)
         first_position, equalities, out_positions = _scan_layout(scan, base)
         header = scan.columns
         arity = len(header)
-        key = plan_key(scan)
         store = base.columnar()
         use_arrays = _np is not None
         cols = store.arrays() if use_arrays else store.codes

@@ -212,8 +212,13 @@ class PreparedStatement:
             f"{PARAM_RELATION_PREFIX}{statement_id}_{i}"
             for i in range(shape.hole_count)
         )
+        # Only the relation names embed the statement id.  A statement
+        # id in a *variable* name would reach the plan key of the host
+        # atom's scan, which depends on no parameter relation and so
+        # would sit in the engines' unit stores long after the
+        # statement's eviction emptied its parameter relations.
         self.param_variables = tuple(
-            f"__p{statement_id}_{i}" for i in range(shape.hole_count)
+            f"__p{i}" for i in range(shape.hole_count)
         )
         self.query = self._parameterize(shape.template)
         # Fixed seed: the statement is the unit of plan reuse, so its
@@ -305,12 +310,18 @@ class PreparedStatementCache:
 
     def prepare(
         self, query: ConjunctiveQuery, method: str
-    ) -> tuple[PreparedStatement, tuple[Any, ...], bool]:
-        """Return ``(statement, values, hit)`` for ``query``.
+    ) -> tuple[
+        PreparedStatement, tuple[Any, ...], bool, tuple[PreparedStatement, ...]
+    ]:
+        """Return ``(statement, values, hit, evicted)`` for ``query``.
 
         ``values`` are the constants extracted from *this* query text,
         ready to pass to :meth:`PreparedStatement.bind`; ``hit`` says
-        whether the shape was already prepared.
+        whether the shape was already prepared; ``evicted`` are the
+        statements this call pushed out of the LRU.  Whoever binds
+        statements into a catalog must :meth:`~PreparedStatement.unbind`
+        those, or their parameter rows (and everything an engine cached
+        over them) outlive the statement.
         """
         shape, values = canonicalize_query(query)
         key = (shape.key, method)
@@ -318,17 +329,19 @@ class PreparedStatementCache:
         if statement is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            return statement, values, True
+            return statement, values, True, ()
         self.misses += 1
         statement = PreparedStatement(self._next_id, shape, method)
         self._next_id += 1
         self._entries[key] = statement
         self._by_id[statement.statement_id] = statement
+        evicted = []
         while len(self._entries) > max(1, self.capacity):
-            _, evicted = self._entries.popitem(last=False)
-            del self._by_id[evicted.statement_id]
+            _, victim = self._entries.popitem(last=False)
+            del self._by_id[victim.statement_id]
             self.evictions += 1
-        return statement, values, False
+            evicted.append(victim)
+        return statement, values, False, tuple(evicted)
 
     def by_id(self, statement_id: int) -> PreparedStatement | None:
         """Look up a live statement by id (refreshing its LRU slot)."""

@@ -168,10 +168,20 @@ class DatabaseHost:
     def prepare(
         self, query: ConjunctiveQuery, method: str
     ) -> tuple[PreparedStatement, tuple, bool]:
-        """Prepare (or fetch) the statement for ``query``'s shape."""
-        statement, values, hit = self.prepared.prepare(query, method)
+        """Prepare (or fetch) the statement for ``query``'s shape.
+
+        Statements the LRU evicts to make room are unbound here, on the
+        thread that binds (the worker process does the same for its own
+        store): emptying their ``__param`` relations bumps those
+        relations' versions, so every engine drops the units and cached
+        results that scanned them at its next execution.  On the pool
+        front end's mirror nothing was ever bound and this is a no-op.
+        """
+        statement, values, hit, evicted = self.prepared.prepare(query, method)
         if not hit:
             self.method_plans[method] = self.method_plans.get(method, 0) + 1
+        for victim in evicted:
+            victim.unbind(self.database)
         return statement, values, hit
 
     def execute_statement(

@@ -14,6 +14,7 @@ covers the building blocks directly: :func:`repro.plans.dependencies`,
 import pytest
 
 from repro.plans import Join, Project, Scan, dependencies
+from repro.relalg import compiled
 from repro.relalg.cache import CatalogVersionTracker, DependencyCache
 from repro.relalg.columnar import clear_interning
 from repro.relalg.compiled import CompiledEngine, VectorizedEngine
@@ -287,9 +288,55 @@ def test_clear_interning_drops_all_compiled_state(engine_cls):
     engine = engine_cls(db)
     expected = engine.execute(plan_over("r"))
     assert len(engine._units) > 0
+    stale = engine._compile(plan_over("r"))
     clear_interning()
     assert engine.execute(plan_over("r")) == expected
     assert len(engine._units) > 0
+    assert engine._compile(plan_over("r")) is not stale
+
+
+def test_clear_interning_rederives_probe_structures(monkeypatch, array_builds):
+    """What a vectorized unit holds that is made of dictionary codes —
+    constant batches, row probe dicts and sets, array-path indexes — is
+    built again under the new epoch.  The generated kernel's code object
+    is positional (no codes in it) and is the one thing that survives."""
+    if compiled._np is None:
+        pytest.skip("array indexes need numpy")
+    # Threshold 1: every batch takes the array path, so the on-demand
+    # array indexes are built (and observable) on this tiny catalog.
+    monkeypatch.setattr(compiled, "_ARRAY_MIN", 1)
+    db = two_relation_db()
+    chain = Project(
+        Join(
+            Join(Scan("r", ("x", "y")), Scan("r", ("y", "z"))),
+            Scan("r", ("z", "w")),
+        ),
+        ("x",),
+    )
+    engine = VectorizedEngine(db, plan_cache_size=0)
+    expected = engine.execute(chain)
+    assert expected == Engine(db).execute(chain)
+    per_epoch = len(array_builds)
+    assert per_epoch > 0
+    engine.execute(chain)
+    assert len(array_builds) == per_epoch  # kept within an epoch
+
+    stale = engine._compile(chain)
+    clear_interning()
+    assert engine.execute(chain) == expected
+    fresh = engine._compile(chain)
+    assert len(array_builds) == 2 * per_epoch  # array indexes built again
+    assert fresh is not stale
+    assert fresh.children[0].const_batch is not stale.children[0].const_batch
+    assert fresh.fn.__code__ is stale.fn.__code__
+    old, new = stale.fn.__globals__, fresh.fn.__globals__
+    probes = [name for name in old if name[:2] in ("_g", "_s")]
+    assert probes
+    for name in probes + ["_finish", "_npfall", "_mode"]:
+        # ``_g<i>`` is the bound ``get`` of a stage's probe dict.
+        assert getattr(new[name], "__self__", new[name]) is not getattr(
+            old[name], "__self__", old[name]
+        ), name
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,16 @@ hashing.  This module pins:
 - ``rows_built`` never above the row-compiled engine's (chain pipeline
   fusion skips materializations the row lowering still performs, so the
   vectorized physical counter may only ever be lower);
-- cache replay and catalog-generation invalidation on the batch payloads.
+- cache replay and catalog-generation invalidation on the batch payloads;
+- what lowering pays once: one code object per pipeline *shape*, shared
+  through a bounded process-wide cache, and array-side build structures
+  only on a unit's first array-path call.
 
 The hypothesis-driven three-way differential lives in
 ``tests/test_compiled_differential.py``.
 """
 
+import itertools
 import random
 
 import pytest
@@ -30,11 +34,14 @@ from repro.core.planner import METHODS, plan_query
 from repro.datalog import parse_rule
 from repro.errors import SchemaError
 from repro.plans import Join, Project, Scan, Semijoin
+from repro.relalg import compiled
 from repro.relalg.compiled import CompiledEngine, VectorizedEngine
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import Engine
 from repro.relalg.relation import Relation
 from repro.relalg.stats import ExecutionStats
+from repro.workloads import graphs
+from repro.workloads.coloring import coloring_instance
 
 LOGICAL = (
     "joins",
@@ -303,3 +310,207 @@ class TestCacheSemantics:
         # this asserts recompilation against the new catalog entry.
         result = engine.execute(plan)
         assert result == Relation(("x", "y"), [(10, 20)])
+
+
+def logical(stats: ExecutionStats) -> tuple:
+    return tuple(getattr(stats, counter) for counter in LOGICAL) + (
+        stats.arity_trace,
+    )
+
+
+#: The ``cold_pipeline`` workload's ten rows at a smaller order: Boolean
+#: 3-COLOR queries over the paper's graph families, whose bucket and
+#: early-projection plans lower almost entirely to fused chains.
+COLD_ROWS = (
+    ("ladder", 6, "bucket"),
+    ("ladder", 9, "bucket"),
+    ("augmented_ladder", 6, "bucket"),
+    ("augmented_ladder", 9, "bucket"),
+    ("augmented_circular_ladder", 6, "bucket"),
+    ("augmented_path", 6, "bucket"),
+    ("augmented_path", 9, "bucket"),
+    ("ladder", 6, "early"),
+    ("ladder", 9, "early"),
+    ("cycle", 7, "bucket"),
+)
+
+
+def cold_plans():
+    return [
+        plan_query(
+            coloring_instance(getattr(graphs, family)(order)).query,
+            method,
+            rng=random.Random(0),
+        )
+        for family, order, method in COLD_ROWS
+    ]
+
+
+def run_fresh(plans):
+    """Every plan on a new engine over a new catalog: first execution of
+    its shape as far as the engine can tell."""
+    return [
+        VectorizedEngine(edge_database(), plan_cache_size=0).execute_with_stats(plan)
+        for plan in plans
+    ]
+
+
+class TestPipelineCodeCache:
+    """Generated chain kernels are positional, so one code object per
+    distinct source serves every unit, engine and catalog."""
+
+    @pytest.mark.parametrize("use_numpy", [True, False])
+    def test_cache_hit_equals_miss(self, monkeypatch, use_numpy):
+        if not use_numpy:
+            monkeypatch.setattr(compiled, "_np", None)
+        elif compiled._np is None:
+            pytest.skip("numpy is not installed")
+        plans = cold_plans()
+        compiled._pipeline_code.cache_clear()
+        missed = run_fresh(plans)
+        compiled_once = compiled._pipeline_code.cache_info().misses
+        assert compiled_once > 0
+        hit = run_fresh(plans)
+        assert compiled._pipeline_code.cache_info().misses == compiled_once
+        for plan, (cold, cold_stats), (warm, warm_stats) in zip(plans, missed, hit):
+            expected, expected_stats = Engine(
+                edge_database(), plan_cache_size=0
+            ).execute_with_stats(plan)
+            assert cold == warm == expected
+            assert logical(cold_stats) == logical(warm_stats) == logical(
+                expected_stats
+            )
+            assert cold_stats.rows_built == warm_stats.rows_built
+
+    def test_one_code_object_per_distinct_source(self, monkeypatch):
+        sources = []
+        cached = compiled._pipeline_code
+
+        def recording(source):
+            sources.append(source)
+            return cached(source)
+
+        monkeypatch.setattr(compiled, "_pipeline_code", recording)
+        plans = cold_plans()
+        cached.cache_clear()
+        run_fresh(plans)
+        first = cached.cache_info()
+        kernels = len(sources)
+        assert first.misses == len(set(sources)) == first.currsize
+        assert first.misses < kernels  # shapes repeat within one pass
+        assert first.hits == kernels - first.misses
+        run_fresh(plans)
+        second = cached.cache_info()
+        assert second.misses == first.misses  # nothing compiled again
+        assert second.hits == first.hits + kernels
+
+    def test_cache_is_bounded(self):
+        # Chains of 8 stages, each a join or a semijoin against a scan:
+        # 2**8 plans whose prefixes of 2..8 stages are 508 distinct
+        # kernel sources, about twice the cache's bound.
+        bound = compiled._PIPE_CODE_CACHE_SIZE
+        rows = [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (3, 1)]
+        database = Database({"e": Relation(("a", "b"), rows)})
+        plans = []
+        for kinds in itertools.product((Join, Semijoin), repeat=8):
+            plan = Scan("e", ("x0", "x1"))
+            last = 1
+            for stage, kind in enumerate(kinds):
+                if kind is Join:
+                    right = Scan("e", (f"x{last}", f"x{last + 1}"))
+                    last += 1
+                else:
+                    right = Scan("e", (f"x{last}", f"y{stage}"))
+                plan = kind(plan, right)
+            plans.append(plan)
+        cached = compiled._pipeline_code
+        cached.cache_clear()
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        reference = Engine(database, plan_cache_size=0)
+        for index, plan in enumerate(plans):
+            result, stats = engine.execute_with_stats(plan)
+            if index % 16 == 0:
+                expected, expected_stats = reference.execute_with_stats(plan)
+                assert result == expected
+                assert logical(stats) == logical(expected_stats)
+        info = cached.cache_info()
+        assert info.maxsize == bound
+        assert info.misses > bound
+        assert info.currsize == bound
+
+
+@pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
+class TestOnDemandArrayStructures:
+    """Array-path build sides over constant right children are built by
+    the first call that takes the array path — never at compile time."""
+
+    def test_small_batches_never_build_them(self, db, array_builds):
+        query = parse_rule("q(A) :- edge(A, B), edge(B, C), edge(C, D).")
+        plans = cold_plans()[:3] + [
+            plan_query(query, method, rng=random.Random(0)) for method in METHODS
+        ]
+        engine = VectorizedEngine(db, plan_cache_size=0)
+        for plan in plans:
+            for _ in range(2):
+                assert engine.execute(plan) == Engine(db).execute(plan)
+        assert array_builds == []
+
+    @staticmethod
+    def fanout_database() -> Database:
+        """40 source rows that a 20-way fan-out turns into 800: a chain
+        that starts under the array threshold and crosses it at its
+        first stage."""
+        return Database(
+            {
+                "src": Relation(("z", "a"), [(i, i % 40) for i in range(40)]),
+                "fan": Relation(
+                    ("a", "b"),
+                    [(a, 100 + a * 20 + k) for a in range(40) for k in range(20)],
+                ),
+                "keep": Relation(
+                    ("b", "c"), [(100 + i, i % 3) for i in range(0, 800, 2)]
+                ),
+            }
+        )
+
+    @pytest.mark.parametrize("top", ["bare", "project"])
+    def test_mid_flight_restart_builds_them_once(self, array_builds, top):
+        database = self.fanout_database()
+        chain = Semijoin(
+            Join(Scan("src", ("z", "a")), Scan("fan", ("a", "b"))),
+            Scan("keep", ("b", "c")),
+        )
+        plan = chain if top == "bare" else Project(chain, ("z",))
+        assert database.get("src").cardinality < compiled._ARRAY_MIN
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        unit = engine._compile(plan)
+        assert array_builds == []  # lowering built nothing array-side
+        expected, expected_stats = Engine(
+            database, plan_cache_size=0
+        ).execute_with_stats(plan)
+        row_compiled, row_stats = CompiledEngine(
+            database, plan_cache_size=0
+        ).execute_with_stats(plan)
+        for execution in range(3):
+            result, stats = engine.execute_with_stats(plan)
+            assert result == expected == row_compiled
+            assert logical(stats) == logical(expected_stats) == logical(row_stats)
+            # One index per stage, built by the execution that tripped
+            # the restart guard and kept for the ones after it.
+            assert sorted(array_builds) == ["_npjoin_index", "_npsorted_keys"]
+            assert unit.fn.__globals__["_mode"] == [1]  # sticky from then on
+
+    def test_standalone_kernel_builds_its_index_once(self, array_builds):
+        database = self.fanout_database()
+        # Not a chain (the left side is a projection, a fusion barrier),
+        # so the join runs as a standalone kernel over a constant right
+        # child at or above the threshold.
+        plan = Join(
+            Project(Scan("src", ("z", "a")), ("a",)), Scan("fan", ("a", "b"))
+        )
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        engine._compile(plan)
+        assert array_builds == []
+        for _ in range(3):
+            assert engine.execute(plan) == Engine(database).execute(plan)
+        assert array_builds == ["_npjoin_index"]

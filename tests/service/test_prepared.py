@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.planner import plan_query
 from repro.datalog import parse_rule
-from repro.relalg.compiled import make_engine
+from repro.relalg.compiled import ENGINE_NAMES, make_engine
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import evaluate
 from repro.relalg.relation import Relation
@@ -14,6 +14,7 @@ from repro.service.prepared import (
     PreparedStatementCache,
     canonicalize_query,
 )
+from repro.service.server import DatabaseHost
 
 
 def graph_db() -> Database:
@@ -65,7 +66,7 @@ class TestCanonicalization:
 class TestPreparedStatement:
     def test_param_atoms_follow_host_atoms(self):
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X), graph(X, Y)."), "bucket"
         )
         relations = [atom.relation for atom in statement.query.atoms]
@@ -77,7 +78,7 @@ class TestPreparedStatement:
         db = graph_db()
         cache = PreparedStatementCache()
         rule = "q(X) :- graph(2, X), graph(X, Y)."
-        statement, values, _ = cache.prepare(parse_rule(rule), "bucket")
+        statement, values, _, _ = cache.prepare(parse_rule(rule), "bucket")
         statement.bind(db, values)
         import random
 
@@ -91,7 +92,7 @@ class TestPreparedStatement:
     def test_rebind_changes_answers(self):
         db = graph_db()
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X)."), "bucket"
         )
         engine = make_engine("compiled", db)
@@ -108,7 +109,7 @@ class TestPreparedStatement:
     def test_bind_same_value_is_version_neutral(self):
         db = graph_db()
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X)."), "bucket"
         )
         assert statement.bind(db, (2,)) == 1
@@ -121,7 +122,7 @@ class TestPreparedStatement:
         the compiled units — only param-dependent cache entries go."""
         db = graph_db()
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X), graph(X, Y)."), "bucket"
         )
         engine = make_engine("compiled", db)
@@ -138,7 +139,7 @@ class TestPreparedStatement:
     def test_bind_arity_mismatch(self):
         db = graph_db()
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X)."), "bucket"
         )
         with pytest.raises(ValueError, match="takes 1 parameter"):
@@ -147,7 +148,7 @@ class TestPreparedStatement:
     def test_unbind_clears_param_relations(self):
         db = graph_db()
         cache = PreparedStatementCache()
-        statement, values, _ = cache.prepare(
+        statement, values, _, _ = cache.prepare(
             parse_rule("q(X) :- graph(2, X)."), "bucket"
         )
         statement.bind(db, values)
@@ -158,7 +159,7 @@ class TestPreparedStatement:
 
     def test_columns_positional(self):
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(
+        statement, _, _, _ = cache.prepare(
             parse_rule("q(Y, X) :- graph(X, Y)."), "bucket"
         )
         assert len(statement.columns) == 2
@@ -167,40 +168,101 @@ class TestPreparedStatement:
 class TestPreparedStatementCache:
     def test_hit_on_same_shape_different_constants(self):
         cache = PreparedStatementCache()
-        first, _, hit1 = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
-        second, _, hit2 = cache.prepare(parse_rule("q(X) :- graph(5, X)."), "bucket")
+        first, _, hit1, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
+        second, _, hit2, _ = cache.prepare(parse_rule("q(X) :- graph(5, X)."), "bucket")
         assert (hit1, hit2) == (False, True)
         assert first is second
         assert cache.info()["hits"] == 1
 
     def test_method_is_part_of_the_key(self):
         cache = PreparedStatementCache()
-        a, _, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
-        b, _, hit = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "early")
+        a, _, _, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
+        b, _, hit, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "early")
         assert not hit
         assert a is not b
 
     def test_lru_eviction(self):
         cache = PreparedStatementCache(capacity=2)
-        s1, _, _ = cache.prepare(parse_rule("q(X) :- graph(1, X)."), "bucket")
+        s1, _, _, _ = cache.prepare(parse_rule("q(X) :- graph(1, X)."), "bucket")
         cache.prepare(parse_rule("q(X) :- graph(X, Y), graph(Y, 1)."), "bucket")
-        cache.prepare(parse_rule("q(X, Y) :- graph(X, Y)."), "bucket")
+        *_, evicted = cache.prepare(parse_rule("q(X, Y) :- graph(X, Y)."), "bucket")
+        assert evicted == (s1,)
         assert len(cache) == 2
         assert cache.info()["evictions"] == 1
         assert cache.by_id(s1.statement_id) is None
 
     def test_statement_ids_are_stable_handles(self):
         cache = PreparedStatementCache()
-        statement, _, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
+        statement, _, _, _ = cache.prepare(parse_rule("q(X) :- graph(3, X)."), "bucket")
         assert cache.by_id(statement.statement_id) is statement
         assert cache.by_id(999) is None
 
     def test_edge_database_shapes(self, edge_db):
         # Shapes with no constants work too (hole_count == 0).
         cache = PreparedStatementCache()
-        statement, values, _ = cache.prepare(
+        statement, values, _, _ = cache.prepare(
             parse_rule("q(X) :- edge(X, Y), edge(Y, X)."), "bucket"
         )
         assert values == ()
         assert statement.param_count == 0
         assert statement.bind(edge_db, ()) == 0
+
+
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+class TestStatementEviction:
+    """The in-process host unbinds what its statement LRU evicts, so an
+    evicted statement leaves neither parameter rows nor engine state."""
+
+    CAPACITY = 4
+    ROUNDS = 5
+
+    @staticmethod
+    def chain(length: int, constant: int) -> str:
+        """``q(X) :- graph(c, V1), graph(V1, V2), ..., graph(V<n-1>, X).``
+        — one distinct shape per length."""
+        names = [str(constant)] + [f"V{i}" for i in range(1, length)] + ["X"]
+        body = ", ".join(
+            f"graph({left}, {right})" for left, right in zip(names, names[1:])
+        )
+        return f"q(X) :- {body}."
+
+    def test_evicted_statements_leave_nothing_behind(self, engine_name):
+        database = graph_db()
+        host = DatabaseHost("g", database, prepared_cache_size=self.CAPACITY)
+        lengths = range(1, 3 * self.CAPACITY + 1)
+        units_per_round = []
+        for round_number in range(self.ROUNDS):
+            # Cycling through more shapes than the LRU holds misses every
+            # time: each round evicts, and re-prepares under fresh
+            # statement ids, every shape of the round before.
+            for length in lengths:
+                rule = self.chain(length, constant=1 + round_number % 3)
+                statement, values, hit = host.prepare(parse_rule(rule), "bucket")
+                assert not hit
+                result, _, _ = host.execute_statement(
+                    statement, values, engine_name
+                )
+                expected, _ = evaluate(
+                    plan_query(parse_rule(rule), "bucket"), graph_db()
+                )
+                assert result.rows == expected.rows
+            units_per_round.append(host.engine(engine_name).cache_info().units)
+
+        assert host.prepared.info()["evictions"] == (
+            self.ROUNDS * len(lengths) - self.CAPACITY
+        )
+        live = leftover = 0
+        for name in database.names():
+            if not name.startswith(PARAM_RELATION_PREFIX):
+                continue
+            statement_id = int(name[len(PARAM_RELATION_PREFIX):].split("_")[0])
+            rows = database.get(name).cardinality
+            if host.prepared.by_id(statement_id) is None:
+                leftover += rows
+            else:
+                live += rows
+        assert leftover == 0
+        assert live == self.CAPACITY  # one bound row per live statement
+        # Retained compiled units stop growing once the LRU is full: the
+        # count after every later round equals the count after the first.
+        assert len(set(units_per_round)) == 1, units_per_round
