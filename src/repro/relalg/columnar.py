@@ -185,19 +185,21 @@ class ColumnStore:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], arity: int) -> "ColumnStore":
-        """Encode row tuples into columns (one interning pass)."""
-        if arity == 0:
-            n = sum(1 for _ in rows)
-            return cls((), n)
-        encode = encode_value
-        columns: tuple[list[int], ...] = tuple([] for _ in range(arity))
-        appends = [col.append for col in columns]
-        n = 0
-        for row in rows:
-            n += 1
-            for value, append in zip(row, appends):
-                append(encode(value))
-        return cls(columns, n)
+        """Encode row tuples into columns, a column at a time: one
+        dictionary lookup per value, interning only the columns that
+        hold a value the pool has not seen."""
+        columns = list(zip(*rows)) if arity else []
+        if not columns:
+            n = 0 if arity else sum(1 for _ in rows)
+            return cls(tuple([] for _ in range(arity)), n)
+        code_of = _CODES.__getitem__
+        encoded = []
+        for column in columns:
+            try:
+                encoded.append(list(map(code_of, column)))
+            except KeyError:
+                encoded.append(list(map(encode_value, column)))
+        return cls(tuple(encoded), len(columns[0]))
 
     def share(self, positions: Sequence[int]) -> "ColumnStore":
         """Zero-copy derived store: the selected columns, by reference.

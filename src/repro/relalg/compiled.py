@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Sequence
 
@@ -143,6 +143,40 @@ def _pair_emitter(spec: Sequence[tuple[str, int]]) -> Callable[[Row, Row], Row]:
     return _gen(f"lambda l, e: ({body},)")
 
 
+class _cell:
+    """Per-input-version cell: ``cell(x)`` is ``build(x)``, computed by the
+    first call that sees the object ``x`` and kept until a call arrives
+    with a different one.  Everything a unit derives from rows or codes
+    lives in one of these, keyed on the object it was derived from (a
+    base relation, a scan's batch): a write puts a new object in the
+    catalog, so exactly the structures over the written relation are
+    rebuilt, by the first execution that needs them, and the steady-state
+    cost is one identity check.  With a ``source``, ``cell()`` fetches
+    its own input: ``cell(source())``.
+
+    One slotted object per cell, not a closure: units are made by the
+    thousand, and what the collector has to walk is part of what a cold
+    query costs.
+    """
+
+    __slots__ = ("build", "source", "seen", "value")
+
+    def __init__(
+        self, build: Callable[[Any], Any], source: Callable[[], Any] | None = None
+    ) -> None:
+        self.build = build
+        self.source = source
+        self.seen = self.value = None
+
+    def __call__(self, x: Any = None) -> Any:
+        if x is None:
+            x = self.source()
+        if x is not self.seen:
+            self.value = self.build(x)
+            self.seen = x
+        return self.value
+
+
 # ----------------------------------------------------------------------
 # Compiled units
 # ----------------------------------------------------------------------
@@ -153,6 +187,13 @@ class _Unit:
     ``eq``/``repr`` are identity-based: the generated recursive ones
     would blow the recursion limit on deep unit trees.
 
+    A unit holds only what the plan and the base *schemas* determine —
+    layout, key and emit positions, generated code, the sticky row/array
+    ``_mode`` of a pipeline — so it is lowered once per ``plan_key`` and
+    outlives every write.  Rows and codes are read through the catalog
+    at run time; what is derived from them lives in cells
+    (:func:`_cell`).
+
     ``fn(stats, *child_payloads)`` evaluates the group, records the
     logical stats of every plan node it covers (in the interpreter's
     post-order), and returns the output payload — a row set for
@@ -162,33 +203,38 @@ class _Unit:
     ``source``/``source_columns``/``source_positions`` are set only for
     zero-copy scans, so parents can reuse the base relation's memoized
     key index (by column name for the row engines, by column position
-    for the columnar one).
+    for the columnar one); ``source()`` is the scanned relation as the
+    catalog holds it now.
     """
 
     fn: Callable[..., Any]
     children: tuple["_Unit", ...]
     key: tuple
     header: tuple[str, ...]
-    source: Relation | None = None
+    source: Callable[[], Relation] | None = None
     source_columns: dict[str, str] = field(default_factory=dict)
     source_positions: dict[str, int] = field(default_factory=dict)
-    #: Set only for vectorized scans: the precomputed (constant) output
-    #: batch, folded at compile time.  Parents use it to prebuild join
-    #: and membership structures once per compilation.
-    const_batch: Any = None
+    #: Set only on vectorized *scan units* (a scan, or a projection
+    #: folded over one): ``bound()`` is ``(batch, (total, built,
+    #: max_card))`` — the unit's output over the relation the catalog
+    #: holds now and the data-dependent part of its stats — the same
+    #: object until that relation is written.  Being a scan unit is what
+    #: lets a parent keep build-side structures across executions and
+    #: absorb the unit into a pipeline.
+    bound: Callable[[], tuple] | None = None
     #: Lazily flattened post-order ``[(fn, nargs), ...]`` of the unit
     #: tree rooted here (vectorized uncached driver).
     program: list | None = None
     #: Pipeline descriptor (:class:`_Pipe`) set on vectorized units whose
-    #: output is a chain of joins/semijoins against constant right
+    #: output is a chain of joins/semijoins against scan-unit right
     #: sides — the hook that lets a parent operator fuse the chain into
     #: one generated kernel.
     pipe: Any = None
     #: Base-relation footprint of the group's root plan node
-    #: (:func:`repro.plans.dependencies`), stamped at compile time: the
-    #: unit (whose scan closures bind base data) and any cached result
-    #: it produced are invalidated exactly when one of these relations
-    #: mutates.
+    #: (:func:`repro.plans.dependencies`), stamped at compile time: a
+    #: cached result the unit produced is invalidated exactly when one
+    #: of these relations mutates, the unit itself only when one of them
+    #: is dropped or changes columns.
     deps: tuple[str, ...] = ()
 
 
@@ -199,18 +245,19 @@ class CompiledEngine:
     Parameters
     ----------
     database:
-        Catalog of base relations.  Scans bind their base relation at
-        compile time; a catalog mutation selectively invalidates the
-        compiled units and cached results whose dependency footprint
-        (:func:`repro.plans.dependencies`) includes a mutated relation
-        — everything else is retained across writes.
+        Catalog of base relations.  Scans read their relation from it at
+        run time, so a write invalidates only the cached *results* whose
+        dependency footprint (:func:`repro.plans.dependencies`) includes
+        the written relation; compiled units survive every write that
+        keeps their relations' columns.
     plan_cache_size:
         Capacity of the common-subexpression result cache, with the same
         semantics as the interpreted engine's (LRU on
         ``(plan_key, dependency-version-vector)``, selective eviction on
         version change, logical stats replayed from per-entry snapshots
         on hits).  Pass ``0`` to disable result caching; compiled *code*
-        is always reused until its base relations mutate.
+        is always reused until one of its base relations is dropped or
+        changes columns.
 
     The join strategy is always hash-based (the paper's forced choice);
     there is no ``join_algorithm`` parameter.
@@ -236,10 +283,11 @@ class CompiledEngine:
         self._cache_size = plan_cache_size
         self._cache = DependencyCache(plan_cache_size)
         # Unbounded: compiled code is cheap to retain and is evicted
-        # precisely when one of its base relations mutates.
+        # precisely when one of its base relations leaves the catalog or
+        # changes columns (``_schemas``: what each was lowered against).
         self._units = DependencyCache(None)
+        self._schemas: dict[str, tuple[str, ...]] = {}
         self._tracker = CatalogVersionTracker(database)
-        self._pool_epoch = pool_epoch()
 
     @property
     def database(self) -> Database:
@@ -312,24 +360,32 @@ class CompiledEngine:
     # Execution drivers (iterative, mirroring Engine._eval_*)
     # ------------------------------------------------------------------
     def _sync_catalog(self) -> None:
-        """Selectively evict compiled units and cached results whose
-        dependency footprint includes a relation mutated since the last
-        execution.  Units bind base data at compile time (scan closures
-        over rows, vectorized constant batches), so a unit is exactly as
-        stale as its footprint; everything whose footprint avoids the
-        mutated relations is retained — code and results both survive
-        unrelated writes.  A change of the columnar interning pool epoch
-        (:func:`repro.relalg.columnar.clear_interning`) invalidates every
-        code-based artifact at once, so it drops both stores wholesale.
+        """Bring both stores up to the catalog's current state.
+
+        What is kept per what: a *unit* is per plan shape and base
+        schema, so it goes only when a relation of its footprint has
+        left the catalog or has other columns than the ones it was
+        lowered against; a cached *result* is per input version, so it
+        goes whenever a relation of its footprint was written.  What a
+        surviving unit derived from the old rows sits in cells keyed on
+        the object it was derived from and is rebuilt by the first
+        execution that meets the new one.
         """
-        if self._pool_epoch != pool_epoch():
-            self._units.clear()
-            self._cache.clear()
-            self._pool_epoch = pool_epoch()
         changed = self._tracker.changed_relations()
-        if changed:
-            self._units.evict_dependents(changed)
-            self._cache.evict_dependents(changed)
+        if not changed:
+            return
+        self._cache.evict_dependents(changed)
+        database, schemas = self._database, self._schemas
+        reshaped = [
+            name
+            for name in changed
+            if name in schemas
+            and (name not in database or database.get(name).columns != schemas[name])
+        ]
+        if reshaped:
+            self._units.evict_dependents(reshaped)
+            for name in reshaped:
+                del schemas[name]
 
     def _run(self, unit: _Unit, stats: ExecutionStats) -> Rows:
         if not self._cache_size:
@@ -461,43 +517,41 @@ class CompiledEngine:
             return _compile_project(node, key, children)
         raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
 
+    def _scan_source(self, scan: Scan):
+        """``(fetch, columns)`` of a scan: ``fetch()`` is the scanned
+        relation as the catalog holds it at the time of the call,
+        ``columns`` the schema it has now — recorded, so that
+        :meth:`_sync_catalog` evicts the units lowered against it when
+        it changes."""
+        fetch = partial(self._database.get, scan.relation)
+        columns = self._schemas[scan.relation] = fetch().columns
+        return fetch, columns
+
     def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
-        base = self._database.get(scan.relation)
-        first_position, equalities, out_positions = _scan_layout(scan, base)
+        fetch, columns = self._scan_source(scan)
+        first_position, equalities, out_positions = _scan_layout(scan, len(columns))
         header = scan.columns
         arity = len(header)
         constants = list(scan.constants)
-        base_rows = base.rows
 
         if not constants and not equalities:
             # Zero-copy: the scan is a pure rename of the base relation;
             # its output *is* the base row set.
-            cardinality = len(base_rows)
-
             def run_identity(stats: ExecutionStats) -> Rows:
+                rows = fetch().rows
                 stats.scans += 1
-                stats.record_output(cardinality, arity, built=False)
-                return base_rows
+                stats.record_output(len(rows), arity, built=False)
+                return rows
 
-            return _Unit(
-                fn=run_identity,
-                children=(),
-                key=key,
-                header=header,
-                source=base,
-                source_columns={
-                    variable: base.columns[position]
-                    for variable, position in first_position.items()
-                },
-                source_positions=dict(first_position),
-            )
+            unit = _Unit(fn=run_identity, children=(), key=key, header=header)
+            return _zero_copy(unit, fetch, columns, first_position)
 
         getter = _tuple_extractor(out_positions)
 
         def run_scan(stats: ExecutionStats) -> Rows:
             out: set[Row] = set()
             add = out.add
-            for row in base_rows:
+            for row in fetch().rows:
                 for position, value in constants:
                     if row[position] != value:
                         break
@@ -529,20 +583,38 @@ def _unit_children(node: Plan) -> tuple[Plan, ...]:
     raise PlanError(f"unknown plan node {node!r}")
 
 
-def _scan_layout(scan: Scan, base: Relation):
-    """Compile-time layout of a scan over ``base``: the first position of
-    each variable, repeated-variable equalities, and the positions that
-    realize the scan's output header."""
+def _zero_copy(
+    unit: _Unit,
+    fetch: Callable[[], Relation],
+    columns: tuple[str, ...],
+    first_position: dict[str, int],
+) -> _Unit:
+    """Mark ``unit`` as a zero-copy scan of the relation ``fetch()``
+    returns (see :class:`_Unit`)."""
+    unit.source = fetch
+    unit.source_columns = {
+        variable: columns[position]
+        for variable, position in first_position.items()
+    }
+    unit.source_positions = dict(first_position)
+    return unit
+
+
+def _scan_layout(scan: Scan, arity: int):
+    """Compile-time layout of a scan over a base relation of ``arity``
+    columns: the first position of each variable, repeated-variable
+    equalities, and the positions that realize the scan's output
+    header."""
     n_positions = len(scan.variables) + len(scan.constants)
-    if n_positions != base.arity:
+    if n_positions != arity:
         raise SchemaError(
             f"atom over {scan.relation!r} binds {n_positions} positions, "
-            f"relation has arity {base.arity}"
+            f"relation has arity {arity}"
         )
     constant_positions = dict(scan.constants)
     variable_positions: list[tuple[int, str]] = []
     var_iter = iter(scan.variables)
-    for position in range(base.arity):
+    for position in range(arity):
         if position in constant_positions:
             continue
         variable_positions.append((position, next(var_iter)))
@@ -649,17 +721,14 @@ def _semijoin_key_lookup(
 
     For a zero-copy scan the base relation's memoized ``_key_index``
     (a dict keyed exactly like our probe keys) is reused — built once per
-    base relation, shared across occurrences, executions, and engines.
+    base relation, shared across occurrences, executions, and engines,
+    and looked up again only when the scan hands over a new row set.
     Otherwise a plain key set is built from the right rows each run.
     """
-    if right_unit.source is not None:
-        base = right_unit.source
+    fetch = right_unit.source
+    if fetch is not None:
         base_key_cols = tuple(right_unit.source_columns[name] for name in shared)
-
-        def lookup(rrows: Rows):
-            return base._key_index(base_key_cols)
-
-        return lookup
+        return _cell(lambda rrows: fetch()._key_index(base_key_cols))
 
     rkey = _key_extractor(right_key)
 
@@ -982,17 +1051,18 @@ def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> 
 # cost is bounded by the batch being converted, and a mixed-size join
 # only ever converts its small side.
 #
-# Scans are folded at compile time: a scan's batch depends only on the
-# (immutable) base relation, so it is precomputed once per compiled
-# unit — constant/equality selections included — and exposed on the
-# unit as ``const_batch``.  Parents exploit constant children: a join
-# whose right operand is a scan prebuilds its hash index (row path)
-# during compilation and keeps its sorted key array (array path) from
-# the first array-path call on, so the steady-state cost of those joins
-# is the probe loop alone.  A catalog
-# mutation bumps the mutated relation's version, which evicts exactly
-# the compiled units (and folded batches) whose dependency footprint
-# includes it; units over untouched relations survive.
+# Scans are folded once per input version: a scan's batch depends only
+# on the (immutable) relation object the catalog holds, so a *scan unit*
+# — constant/equality selections and a projection on top included —
+# keeps it in a cell keyed on that object (``_Unit.bound``).  Parents
+# exploit scan-unit children the same way: a join whose right operand is
+# one keeps its hash index (row path) and its sorted key array (array
+# path) in cells keyed on the child's batch, each built by the first
+# execution that takes its path, so the steady-state cost of those joins
+# is the probe loop alone.  A write swaps the relation object, so the
+# next execution refolds that scan and rebuilds the structures over it —
+# and only those; the units themselves, and everything over untouched
+# relations, stay.
 #
 # The load-bearing invariant: **every unit's output batch is distinct.**
 # Base relations are sets; a filtered scan's dropped positions
@@ -1048,18 +1118,35 @@ def _to_cols(batch: Batch, arity: int):
     return tuple(stacked[:, j] for j in range(arity))
 
 
-def _const_rows(unit: _Unit) -> list[tuple] | None:
-    """Row form of a constant (scan) child's batch — but only when the
-    row path can ever probe it: always without numpy, below the array
-    threshold with it (larger constant children only ever meet the
-    array kernels).  Build-side structures derived from this are
-    computed once per compilation instead of once per execution."""
-    batch = unit.const_batch
-    if batch is None:
-        return None
-    if _np is not None and batch[0] >= _ARRAY_MIN:
-        return None
+def _batch_rows(batch: Batch) -> list[tuple]:
+    """Row form of a whole batch."""
     return _to_rows(batch[1], batch[0])
+
+
+def _bucket(rows: list[tuple], key: Callable, value: Callable | None = None) -> dict:
+    """Hash index ``key(row) -> [value(row), ...]`` (the rows themselves
+    without ``value``) — the build side of every row-path join kernel."""
+    index: dict = {}
+    get = index.get
+    for row in rows:
+        k = key(row)
+        bucket = get(k)
+        if bucket is None:
+            index[k] = bucket = []
+        bucket.append(row if value is None else value(row))
+    return index
+
+
+def _kept(unit: _Unit, build: Callable[[Batch], Any]) -> Callable[[Batch], Any]:
+    """``build`` — a build-side structure as a function of ``unit``'s
+    output batch — kept across executions when ``unit`` is a scan unit
+    (its batch is one object until its relation is written), plain
+    otherwise (a dynamic child's batch is new on every execution, and a
+    cell would only pin the last one in memory).  Either way nothing is
+    built before the first execution that takes the path needing it: a
+    unit whose batches all stay under ``_ARRAY_MIN`` never pays for an
+    array-side sort, one pinned to the array path never for a row dict."""
+    return _cell(build) if unit.bound is not None else build
 
 
 # ----------------------------------------------------------------------
@@ -1125,23 +1212,6 @@ def _npdistinct_cols(cols, nrows: int):
     return len(first), tuple(c[first] for c in cols)
 
 
-def _on_demand(build: Callable, *args) -> Callable[[], Any]:
-    """Thunk returning ``build(*args)``, computed on the first call and
-    kept.  Array-path build sides over a *constant* right child (any
-    scan) are the same on every execution, so a unit keeps them — but it
-    builds them on its first array-path call, not at compile time: a
-    unit whose batches all stay under ``_ARRAY_MIN`` never takes the
-    array path and never pays for the sort."""
-    cell: list = []
-
-    def get():
-        if not cell:
-            cell.append(build(*args))
-        return cell[0]
-
-    return get
-
-
 def _npjoin_index(batch: Batch, right_key: Sequence[int], rarity: int):
     """Build side of :func:`_npmatch_sorted`: the batch's
     ``(order, sorted_keys)``."""
@@ -1156,14 +1226,11 @@ def _npsorted_keys(batch: Batch, right_key: Sequence[int], rarity: int):
 
 
 def _npsemijoin_lookup(right_unit: _Unit, right_key: Sequence[int], rarity: int):
-    """Sorted right-key array for array-path membership probes.  A
-    constant right child is sorted once, on the unit's first array-path
-    call; anything else sorts its batch each run."""
-    batch = right_unit.const_batch
-    if batch is not None:
-        rsorted = _on_demand(_npsorted_keys, batch, right_key, rarity)
-        return lambda rbatch: rsorted()
-    return lambda rbatch: _npsorted_keys(rbatch, right_key, rarity)
+    """Sorted right-key array for array-path membership probes, as a
+    function of the right batch (:func:`_kept` for a scan unit)."""
+    return _kept(
+        right_unit, lambda rbatch: _npsorted_keys(rbatch, right_key, rarity)
+    )
 
 
 def _decode_batch(header: tuple[str, ...], batch: Batch) -> Relation:
@@ -1206,34 +1273,17 @@ def _vsemijoin_lookup(
     A zero-copy scan probes the base relation's memoized
     :meth:`ColumnStore.key_index` spans dict (built once per base
     relation and key, shared across plan nodes, executions, and
-    engines); any other constant child's key set is built once per
-    compilation; anything else builds the key set from the right batch
-    each run.  All three support ``key in lookup(...)`` with the shared
-    key shapes (bare code / code tuple).
+    engines); anything else builds the key set from the right batch —
+    each run, or once per batch for a scan unit (:func:`_kept`).  Both
+    support ``key in lookup(...)`` with the shared key shapes (bare code
+    / code tuple).
     """
-    if right_unit.source is not None:
-        store = right_unit.source.columnar()
+    fetch = right_unit.source
+    if fetch is not None:
         positions = tuple(right_unit.source_positions[name] for name in shared)
-
-        def lookup(rbatch: Batch):
-            return store.key_index(positions)[0]
-
-        return lookup
-
+        return _cell(lambda rbatch: fetch().columnar().key_index(positions)[0])
     rkey = _key_extractor(right_key)
-    const = _const_rows(right_unit)
-    if const is not None:
-        keys = set(map(rkey, const))
-
-        def lookup(rbatch: Batch):
-            return keys
-
-        return lookup
-
-    def lookup(rbatch: Batch):
-        return set(map(rkey, _to_rows(rbatch[1], rbatch[0])))
-
-    return lookup
+    return _kept(right_unit, lambda rbatch: set(map(rkey, _batch_rows(rbatch))))
 
 
 def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
@@ -1341,37 +1391,20 @@ def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit
     lkey = _key_extractor(left_key)
     rkey = _key_extractor(right_key)
     rext = _tuple_extractor(right_extra)
-    const = _const_rows(children[1])
-    rindex = None
-    if const is not None:
-        # The probe index over a constant right child, built once.
-        rindex = {}
-        get = rindex.get
-        for rrow in const:
-            k = rkey(rrow)
-            bucket = get(k)
-            if bucket is None:
-                rindex[k] = bucket = []
-            bucket.append(rext(rrow))
-    lconst = _const_rows(children[0]) if const is None else None
-    lindex = None
-    if lconst is not None:
-        # Constant left, dynamic right: prebuild the left-row index and
-        # stream the right rows through it instead of indexing either
-        # side per execution.
-        lindex = {}
-        get = lindex.get
-        for lrow in lconst:
-            k = lkey(lrow)
-            bucket = get(k)
-            if bucket is None:
-                lindex[k] = bucket = []
-            bucket.append(lrow)
+    # Which side the row path indexes: a scan unit's, whose index is
+    # then kept until its relation is written (the right one when both
+    # are), else the smaller side of each execution.
+    right_scan = children[1].bound is not None
+    left_scan = not right_scan and children[0].bound is not None
+
+    rindex = _kept(
+        children[1], lambda rbatch: _bucket(_batch_rows(rbatch), rkey, rext)
+    )
+    lindex = _kept(children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey))
     if use_np:
-        rconst = children[1].const_batch
         np_rindex = (
-            _on_demand(_npjoin_index, rconst, right_key, rarity)
-            if rconst is not None and rconst[0]
+            _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
+            if right_scan
             else None
         )
 
@@ -1384,7 +1417,7 @@ def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit
                 rcols = _to_cols(rbatch, rarity)
                 lkeys = _npkeys(lcols, left_key)
                 if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex())
+                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
                 else:
                     lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
                 cardinality = len(lidx)
@@ -1406,53 +1439,21 @@ def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit
             return run_join_np(stats, lbatch, rbatch)
         out: list[tuple] = []
         append = out.append
-        if rindex is not None:
-            get = rindex.get
+        if right_scan or not (left_scan or ln <= rn):
+            get = rindex(rbatch).get
             for lrow in _to_rows(lbatch[1], ln):
                 bucket = get(lkey(lrow))
                 if bucket is not None:
                     for extra in bucket:
                         append(lrow + extra)
-        elif lindex is not None:
-            get = lindex.get
+        else:
+            get = lindex(lbatch).get
             for rrow in _to_rows(rbatch[1], rn):
                 bucket = get(rkey(rrow))
                 if bucket is not None:
                     extra = rext(rrow)
                     for lrow in bucket:
                         append(lrow + extra)
-        else:
-            lrows = _to_rows(lbatch[1], ln)
-            rrows = _to_rows(rbatch[1], rn)
-            if ln <= rn:
-                index: dict = {}
-                get = index.get
-                for lrow in lrows:
-                    k = lkey(lrow)
-                    bucket = get(k)
-                    if bucket is None:
-                        index[k] = bucket = []
-                    bucket.append(lrow)
-                for rrow in rrows:
-                    bucket = get(rkey(rrow))
-                    if bucket is not None:
-                        extra = rext(rrow)
-                        for lrow in bucket:
-                            append(lrow + extra)
-            else:
-                index = {}
-                get = index.get
-                for rrow in rrows:
-                    k = rkey(rrow)
-                    bucket = get(k)
-                    if bucket is None:
-                        index[k] = bucket = []
-                    bucket.append(rext(rrow))
-                for lrow in lrows:
-                    bucket = get(lkey(lrow))
-                    if bucket is not None:
-                        for extra in bucket:
-                            append(lrow + extra)
         cardinality = len(out)
         stats.record_bulk(
             1, 0, 0, 0, cardinality, cardinality, cardinality,
@@ -1632,9 +1633,9 @@ def _vcompile_project_join(
         emlp = _tuple_extractor(lproj)
         emep = _tuple_extractor(eproj)
         emit = _pair_emitter(spec_ord)
-        econst = _const_rows(children[1])
-        eset_const = (
-            dict.fromkeys(map(emep, econst)) if econst is not None else None
+        eset_of = _kept(
+            children[1],
+            lambda rbatch: dict.fromkeys(map(emep, _batch_rows(rbatch))),
         )
         if use_np:
 
@@ -1677,11 +1678,7 @@ def _vcompile_project_join(
                 # π(L × R) = π_l(L) × π_e(R): concatenations of distinct
                 # fixed-arity tuples are distinct, so no global dedup.
                 lset = dict.fromkeys(map(emlp, _to_rows(lbatch[1], ln)))
-                eset = (
-                    eset_const
-                    if eset_const is not None
-                    else dict.fromkeys(map(emep, _to_rows(rbatch[1], rn)))
-                )
+                eset = eset_of(rbatch)
                 if concat:
                     out_rows = [lt + et for lt in lset for et in eset]
                 else:
@@ -1746,7 +1743,12 @@ def _vcompile_project_join(
         )
 
     rkey = _key_extractor(right_key)
-    const = _const_rows(children[1])
+    # A scan-unit left side under a dynamic right one (the bucket-method
+    # towers) is the side the row path indexes: bucketed by key once per
+    # version of its relation, with the dynamic right rows streamed
+    # through — no per-execution index build at all.
+    right_scan = children[1].bound is not None
+    left_scan = not right_scan and children[0].bound is not None
 
     if left_only:
         # No right-hand column survives the projection: one candidate
@@ -1755,28 +1757,15 @@ def _vcompile_project_join(
         # so each key's extras are distinct — the multiplicity is counted
         # without ever expanding a pair).
         eml = _tuple_extractor(left_positions)
-        counts_const = Counter(map(rkey, const)) if const is not None else None
-        lconst_rows = _const_rows(children[0]) if const is None else None
-        lbuckets_left = None
-        if lconst_rows is not None:
-            # Constant left, dynamic right: bucket the projected left
-            # rows by key once at compile time and stream the dynamic
-            # right rows through it — no per-execution Counter build.
-            lbuckets_left = {}
-            get = lbuckets_left.get
-            for lrow in lconst_rows:
-                k = lkey(lrow)
-                bucket = get(k)
-                if bucket is None:
-                    lbuckets_left[k] = bucket = []
-                bucket.append(eml(lrow))
+        counts_of = _kept(
+            children[1], lambda rbatch: Counter(map(rkey, _batch_rows(rbatch)))
+        )
+
+        lbuckets_left = _kept(
+            children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey, eml)
+        )
         if use_np:
-            rconst = children[1].const_batch
-            np_rsorted = (
-                _on_demand(_npsorted_keys, rconst, right_key, rarity)
-                if rconst is not None and rconst[0]
-                else None
-            )
+            np_rsorted = _npsemijoin_lookup(children[1], right_key, rarity)
 
             def run_project_join_left_np(
                 stats: ExecutionStats, lbatch: Batch, rbatch: Batch
@@ -1784,11 +1773,7 @@ def _vcompile_project_join(
                 ln, rn = lbatch[0], rbatch[0]
                 if ln and rn:
                     lcols = _to_cols(lbatch, larity)
-                    rsorted = (
-                        np_rsorted()
-                        if np_rsorted is not None
-                        else _npsorted_keys(rbatch, right_key, rarity)
-                    )
+                    rsorted = np_rsorted(rbatch)
                     lkeys = _npkeys(lcols, left_key)
                     lo = _np.searchsorted(rsorted, lkeys, side="left")
                     hi = _np.searchsorted(rsorted, lkeys, side="right")
@@ -1814,8 +1799,8 @@ def _vcompile_project_join(
             wide = 0
             cand: dict = {}
             if ln and rn:
-                if lbuckets_left is not None:
-                    lget = lbuckets_left.get
+                if left_scan:
+                    lget = lbuckets_left(lbatch).get
                     added: set = set()
                     add = added.add
                     for rrow in _to_rows(rbatch[1], rn):
@@ -1828,12 +1813,7 @@ def _vcompile_project_join(
                                 for lt in bucket:
                                     cand[lt] = None
                 else:
-                    counts = (
-                        counts_const
-                        if counts_const is not None
-                        else Counter(map(rkey, _to_rows(rbatch[1], rn)))
-                    )
-                    get = counts.get
+                    get = counts_of(rbatch).get
                     for lrow in _to_rows(lbatch[1], ln):
                         c = get(lkey(lrow))
                         if c:
@@ -1850,42 +1830,20 @@ def _vcompile_project_join(
     emlp = _tuple_extractor(lproj)
     emep = _tuple_extractor(eproj)
     emit = _pair_emitter(spec_ord)
-    lconst = _const_rows(children[0]) if const is None else None
-    lbuckets_const = None
-    if lconst is not None:
-        # Constant left, dynamic right (the bucket-method towers): index
-        # the left side's *projected* rows by key once at compile time
-        # and stream the dynamic right rows through it — no per-execution
-        # index build at all.  Bucket lengths are left key multiplicities
-        # (left rows are distinct pre-projection), which is what the wide
-        # cardinality sums.
-        lbuckets_const = {}
-        get = lbuckets_const.get
-        for lrow in lconst:
-            k = lkey(lrow)
-            bucket = get(k)
-            if bucket is None:
-                lbuckets_const[k] = bucket = []
-            bucket.append(emlp(lrow))
-    rbuckets_const = None
-    if const is not None:
-        # Bucket the constant right child's *projected* extras by key
-        # once, at compile time.  Duplicates are kept: a bucket's length
-        # is the key's right multiplicity, which is what the wide join
-        # cardinality counts.
-        rbuckets_const = {}
-        get = rbuckets_const.get
-        for rrow in const:
-            k = rkey(rrow)
-            bucket = get(k)
-            if bucket is None:
-                rbuckets_const[k] = bucket = []
-            bucket.append(emep(rrow))
+    # Both indexes bucket *projected* rows by key, duplicates kept: a
+    # bucket's length is its key's multiplicity on that side (rows are
+    # distinct before projection), which is what the wide join
+    # cardinality sums.
+    lbuckets_of = _kept(
+        children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey, emlp)
+    )
+    rbuckets_of = _kept(
+        children[1], lambda rbatch: _bucket(_batch_rows(rbatch), rkey, emep)
+    )
     if use_np:
-        rconst = children[1].const_batch
         np_rindex = (
-            _on_demand(_npjoin_index, rconst, right_key, rarity)
-            if rconst is not None and rconst[0]
+            _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
+            if right_scan
             else None
         )
 
@@ -1898,7 +1856,7 @@ def _vcompile_project_join(
                 rcols = _to_cols(rbatch, rarity)
                 lkeys = _npkeys(lcols, left_key)
                 if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex())
+                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
                 else:
                     lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
                 wide = len(lidx)
@@ -1921,16 +1879,16 @@ def _vcompile_project_join(
         # Probe a key -> projected-extras bucket index and emit the
         # projected pair straight into the candidate dict: the wide join
         # result is counted (bucket lengths are key multiplicities) but
-        # never materialized.  A constant right child's index is
-        # prebuilt, so the steady-state cost is the probe loop alone.
+        # never materialized.  A scan-unit child's index is kept, so
+        # the steady-state cost is the probe loop alone.
         ln, rn = lbatch[0], rbatch[0]
         if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
             return run_project_join_np(stats, lbatch, rbatch)
         wide = 0
         cand: dict = {}
         if ln and rn:
-            if lbuckets_const is not None:
-                lget = lbuckets_const.get
+            if left_scan:
+                lget = lbuckets_of(lbatch).get
                 if concat:
                     for rrow in _to_rows(rbatch[1], rn):
                         bucket = lget(rkey(rrow))
@@ -1950,17 +1908,7 @@ def _vcompile_project_join(
                 out_rows = list(cand)
                 finish(stats, ln, rn, wide, len(out_rows))
                 return len(out_rows), out_rows
-            if rbuckets_const is not None:
-                rget = rbuckets_const.get
-            else:
-                rbuckets: dict = {}
-                rget = rbuckets.get
-                for rrow in _to_rows(rbatch[1], rn):
-                    k = rkey(rrow)
-                    bucket = rget(k)
-                    if bucket is None:
-                        rbuckets[k] = bucket = []
-                    bucket.append(emep(rrow))
+            rget = rbuckets_of(rbatch).get
             if concat:
                 for lrow in _to_rows(lbatch[1], ln):
                     bucket = rget(lkey(lrow))
@@ -2135,61 +2083,130 @@ def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) ->
     return _Unit(fn=run_project, children=children, key=key, header=header)
 
 
+def _fold_scan(base: Relation) -> tuple:
+    """:attr:`_Unit.bound` record of a zero-copy scan of ``base``: the
+    batch is the base store's columns (no selection, and the scan's
+    columns are the base's in order, as in the row engine); below the
+    array threshold the row form is materialized once per version
+    instead."""
+    store = base.columnar()
+    n = store.cardinality
+    if _np is not None and n >= _ARRAY_MIN:
+        payload: Any = store.arrays()
+    else:
+        payload = list(zip(*store.codes)) if store.codes else [()] * n
+    return (n, payload), (n, 0, n)
+
+
+def _fold_selection(constants, equalities, out_positions, base: Relation) -> tuple:
+    """:attr:`_Unit.bound` record of a filtered scan of ``base``.
+    Selections depend only on the (immutable) base relation, so the
+    whole filtered batch is folded once per version of it — whole-column
+    masks from the array threshold up, an index selection over the code
+    lists below it."""
+    store = base.columnar()
+    # A never-interned constant cannot occur in any column.
+    codes = [(p, lookup_code(value)) for p, value in constants]
+    if any(code is None for _, code in codes):
+        matched, rows = 0, []
+    elif _np is not None and store.cardinality >= _ARRAY_MIN:
+        cols = store.arrays()
+        mask = None
+        for position, code in codes:
+            m = cols[position] == code
+            mask = m if mask is None else mask & m
+        for left, right in equalities:
+            m = cols[left] == cols[right]
+            mask = m if mask is None else mask & m
+        matched = int(mask.sum())
+        rows = tuple(cols[p][mask] for p in out_positions)
+        if matched < _ARRAY_MIN:
+            rows = _to_rows(rows, matched)
+    else:
+        cols = store.codes
+        sel: Any = range(store.cardinality)
+        for position, code in codes:
+            col = cols[position]
+            sel = [i for i in sel if col[i] == code]
+        for left, right in equalities:
+            ci, cj = cols[left], cols[right]
+            sel = [i for i in sel if ci[i] == cj[i]]
+        matched = len(sel)
+        rows = [tuple(cols[p][i] for p in out_positions) for i in sel]
+    # Kept positions functionally determine the dropped ones, so the
+    # filtered batch is distinct — except at arity 0, where the output
+    # collapses to a single empty tuple.
+    if not out_positions:
+        matched = 1 if matched else 0
+        rows = [()] * matched
+    return (matched, rows), (matched, matched, matched)
+
+
+def _scan_unit(
+    key: tuple,
+    header: tuple[str, ...],
+    bound: Callable[[], tuple],
+    trace: tuple[int, ...] | None = None,
+) -> _Unit:
+    """A vectorized scan unit.  ``trace`` — the arities of the scan and,
+    for a folded projection, of the projection over it (default: a bare
+    scan's) — is the static part of its stats; the batch and the
+    data-dependent part come from ``bound()`` (see :attr:`_Unit.bound`),
+    so one bulk update replays the unit's one or two events whatever
+    the catalog holds."""
+    if trace is None:
+        trace = (len(header),)
+    projections = len(trace) - 1
+    max_arity = max(trace)
+
+    def run_scan(stats: ExecutionStats) -> Batch:
+        batch, (total, built, max_card) = bound()
+        stats.record_bulk(
+            0, 0, projections, 1, total, built, max_card, max_arity, 0, trace
+        )
+        return batch
+
+    return _Unit(fn=run_scan, children=(), key=key, header=header, bound=bound)
+
+
 def _vcompile_project_scan(
     node: Project, key: tuple, scan_unit: _Unit
 ) -> _Unit:
-    """Fold a projection of a scan into a constant unit.
+    """Fold a projection of a scan into the scan unit under it.
 
     A projected scan is a function of one immutable base relation — the
-    same class of per-relation precomputation as the compile-time
-    selection folding in ``_compile_scan`` — so its batch is computed
-    once per compilation.  The unit records the scan's and projection's
+    same class of per-relation precomputation as the selection folding
+    in ``_compile_scan`` — so its batch is computed once per version of
+    that relation.  The unit records the scan's and projection's
     stats itself (it absorbs the scan, keeping the interpreter's
     post-order trace), and passes the base relation's position map
     through so parents still probe the base key index zero-copy.
     """
     child_cols = node.child.columns
     header = node.columns
-    arity = len(header)
-    s_n, s_payload = scan_unit.const_batch
     s_arity = len(child_cols)
-    # Identity scans pass the base store through (built=False); filtered
-    # scans materialized their batch (built=True) — mirror their stats.
-    s_built = scan_unit.source is None
     positions = tuple(child_cols.index(name) for name in header)
     identity = positions == tuple(range(s_arity))
-    if identity:
-        batch = scan_unit.const_batch
-    elif _np is not None and s_n >= _ARRAY_MIN:
-        cols = _to_cols(scan_unit.const_batch, s_arity)
-        batch = _npdistinct_cols(tuple(cols[p] for p in positions), s_n)
-    else:
-        eml = _tuple_extractor(positions)
-        rows = list(dict.fromkeys(map(eml, _to_rows(s_payload, s_n))))
-        batch = (len(rows), rows)
-    card = batch[0]
-    proj_built = not identity
-    # Every stats delta of the folded scan + projection pair is a
-    # compile-time constant, so the unit replays both events with a
-    # single precomputed bulk update.
-    c_total = s_n + card
-    c_built = (s_n if s_built else 0) + (card if proj_built else 0)
-    c_max_card = s_n if s_n > card else card
-    c_max_arity = s_arity if s_arity > arity else arity
-    c_trace = (s_arity, arity)
+    eml = _tuple_extractor(positions)
 
-    def run_project_const(stats: ExecutionStats) -> Batch:
-        stats.record_bulk(
-            0, 0, 1, 1, c_total, c_built, c_max_card, c_max_arity, 0, c_trace
-        )
-        return batch
+    def fold(scanned: tuple) -> tuple:
+        # The scan's own stats carry over (an identity scan passed the
+        # base store through unbuilt, a filtered one materialized its
+        # batch); an identity projection adds an unbuilt output.
+        sbatch, (s_n, s_built, _) = scanned  # a scan's total is its size
+        if identity:
+            return sbatch, (2 * s_n, s_built, s_n)
+        if _np is not None and s_n >= _ARRAY_MIN:
+            cols = _to_cols(sbatch, s_arity)
+            batch = _npdistinct_cols(tuple(cols[p] for p in positions), s_n)
+        else:
+            rows = list(dict.fromkeys(map(eml, _batch_rows(sbatch))))
+            batch = (len(rows), rows)
+        card = batch[0]
+        return batch, (s_n + card, s_built + card, max(s_n, card))
 
-    unit = _Unit(
-        fn=run_project_const,
-        children=(),
-        key=key,
-        header=header,
-        const_batch=batch,
+    unit = _scan_unit(
+        key, header, _cell(fold, scan_unit.bound), (s_arity, len(header))
     )
     if scan_unit.source is not None:
         # Projection of a zero-copy scan: the set of key values on the
@@ -2231,11 +2248,11 @@ def _pipeline_code(source: str):
 
 @dataclass(eq=False)
 class _PipeStage:
-    """One fused Join/Semijoin over a constant right side."""
+    """One fused Join/Semijoin over a scan-unit right side."""
 
     kind: str  # 'join' | 'filterjoin' | 'semi'
-    right: _Unit  # the absorbed constant right-side unit
-    n_right: int
+    right: _Unit  # the absorbed right-side scan unit
+    right_trace: tuple[int, ...]  # arities of the plan nodes ``right`` covers
     left_key: tuple[int, ...]  # positions into the chain columns here
     right_key: tuple[int, ...]
     right_extra: tuple[int, ...]
@@ -2247,7 +2264,7 @@ class _PipeStage:
 class _Pipe:
     """Pipeline descriptor carried on a vectorized unit: its output is
     ``source`` run through ``stages`` (a chain of joins/semijoins whose
-    right sides are all compile-time constants).  A parent operator that
+    right sides are all scan units).  A parent operator that
     can append one more stage fuses the whole chain into a single
     generated kernel (:func:`_vcompile_pipeline`) instead of consuming
     the unit's materialized output."""
@@ -2258,10 +2275,10 @@ class _Pipe:
 
 
 def _pipe_stage(node: Join | Semijoin, runit: _Unit) -> _PipeStage | None:
-    """Stage descriptor for ``node`` when its right side is a constant
-    unit probed on shared keys; ``None`` when the shape is not fusable
+    """Stage descriptor for ``node`` when its right side is a scan unit
+    probed on shared keys; ``None`` when the shape is not fusable
     (dynamic right side, or a cross/degenerate operator)."""
-    if runit.const_batch is None:
+    if runit.bound is None:
         return None
     shared, left_key, right_key, right_extra = _join_layout(
         node.left.columns, node.right.columns
@@ -2274,14 +2291,20 @@ def _pipe_stage(node: Join | Semijoin, runit: _Unit) -> _PipeStage | None:
         kind, extra = "join", right_extra
     else:
         kind, extra = "filterjoin", ()
+    right = node.right
+    rarity = len(right.columns)
     return _PipeStage(
         kind=kind,
         right=runit,
-        n_right=runit.const_batch[0],
+        right_trace=(
+            (len(right.child.columns), rarity)
+            if isinstance(right, Project)
+            else (rarity,)
+        ),
         left_key=left_key,
         right_key=right_key,
         right_extra=extra,
-        extra_names=tuple(node.right.columns[p] for p in extra),
+        extra_names=tuple(right.columns[p] for p in extra),
         arity=len(node.columns),
     )
 
@@ -2303,7 +2326,7 @@ def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
     """Per-execution stats closure of a fused chain.
 
     Replays the interpreter's post-order event sequence — each absorbed
-    right subtree's own (static) events, then its operator's — from the
+    right subtree's own events, then its operator's — from the
     per-stage match counts, so every logical counter and the arity trace
     stay byte-identical to the other engines.  Interior stages record
     ``built=False``: the chain never materializes them, which is the one
@@ -2312,56 +2335,43 @@ def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
     except a semijoin that filtered nothing) unless a projection tops the
     chain, in which case the chain output is a fused-away wide result.
 
-    The absorbed right sides are constant units, so their entire stats
-    contribution is static: it is captured once here by replaying their
-    closures on a scratch object, and the per-execution ``finish`` folds
-    the static part plus the dynamic counts into a single
-    :meth:`ExecutionStats.record_bulk` call instead of re-issuing each
-    event.
+    The absorbed right sides are scan units: the shape of their stats
+    (event counts, arities) is static and folded in here, the sizes come
+    with each execution's ``rights`` — the stages' :attr:`_Unit.bound`
+    records — and ``finish`` folds both plus the dynamic counts into a
+    single :meth:`ExecutionStats.record_bulk` call instead of re-issuing
+    each event.
     """
-    static = ExecutionStats()
     trace: list[int] = []
     for st in stages:
-        before = len(static._arity_trace)
-        st.right.fn(static)  # scratch replay of the constant right side
-        trace.extend(static._arity_trace[before:])
+        trace.extend(st.right_trace)
         trace.append(st.arity)
     if project_arity is not None:
         trace.append(project_arity)
-    kinds = tuple(st.kind for st in stages)
-    n_rights = tuple(st.n_right for st in stages)
-    is_join = tuple(kind != "semi" for kind in kinds)
+    is_join = tuple(st.kind != "semi" for st in stages)
     n_stages = len(stages)
     last = n_stages - 1
     bare = project_arity is None
-    d_joins = static.joins + sum(is_join)
-    d_semis = static.semijoins + (n_stages - sum(is_join))
-    d_projs = static.projections + (0 if bare else 1)
-    d_scans = static.scans
-    s_total = static.total_intermediate_tuples
-    s_built = static.rows_built
-    s_max_card = static.max_intermediate_cardinality
-    s_peak = static.peak_live_tuples
-    d_max_arity = max(
-        static.max_intermediate_arity, *(st.arity for st in stages)
-    )
-    if project_arity is not None and project_arity > d_max_arity:
-        d_max_arity = project_arity
+    d_joins = sum(is_join)
+    d_semis = n_stages - d_joins
+    d_projs = len(trace) - 2 * n_stages  # folded into right sides, or on top
+    d_max_arity = max(trace)
     d_trace = tuple(trace)
 
-    def finish(stats: ExecutionStats, ln: int, counts, out_card: int) -> None:
-        total = s_total
-        built = s_built
-        max_card = s_max_card
-        peak = s_peak
+    def finish(stats: ExecutionStats, ln: int, counts, out_card: int, rights) -> None:
+        total = built = max_card = peak = 0
         prev = ln
         for i in range(n_stages):
+            (n_right, _), (r_total, r_built, r_max_card) = rights[i]
             c = counts[i]
-            total += c
+            total += r_total + c
+            built += r_built
+            if r_max_card > max_card:
+                max_card = r_max_card
             if c > max_card:
                 max_card = c
             if is_join[i]:
-                live = prev + n_rights[i] + c
+                live = prev + n_right + c
                 if live > peak:
                     peak = live
             prev = c
@@ -2375,11 +2385,40 @@ def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
             if out_card > max_card:
                 max_card = out_card
         stats.record_bulk(
-            d_joins, d_semis, d_projs, d_scans,
+            d_joins, d_semis, d_projs, n_stages,
             total, built, max_card, d_max_arity, peak, d_trace,
         )
 
     return finish
+
+
+def _stage_probe(st: _PipeStage) -> Callable[[tuple], Any]:
+    """Row-path probe structure of one stage as a function of its right
+    side's bound record: the ``get`` of a key -> extras index for a join,
+    the key set for a filter."""
+    rkey = _key_extractor(st.right_key)
+    if st.kind == "join":
+        rext = _tuple_extractor(st.right_extra)
+        return lambda bound: _bucket(_batch_rows(bound[0]), rkey, rext).get
+    return lambda bound: set(map(rkey, _batch_rows(bound[0])))
+
+
+def _stage_arrays(st: _PipeStage) -> Callable[[tuple], tuple]:
+    """Array-path build side of one stage, same input: ``((order,
+    sorted_keys), extra_columns)`` for a join, the sorted keys for a
+    filter."""
+    rarity = len(st.right.header)
+    if st.kind == "join":
+
+        def build(bound: tuple) -> tuple:
+            rcols = _to_cols(bound[0], rarity)  # converted once, for both
+            return (
+                _npjoin_index((bound[0][0], rcols), st.right_key, rarity),
+                tuple(rcols[p] for p in st.right_extra),
+            )
+
+        return build
+    return lambda bound: _npsorted_keys(bound[0], st.right_key, rarity)
 
 
 def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
@@ -2390,21 +2429,25 @@ def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
     ln = lbatch[0]
     cols = _to_cols(lbatch, arity0)
     counts = []
+    rights = []
     n = ln
-    for kind, n_right, left_key, np_index, np_extras, np_sorted in npstages:
-        if n == 0 or n_right == 0:
+    for is_join, left_key, right, arrays in npstages:
+        bound = right()
+        rights.append(bound)
+        if n == 0 or bound[0][0] == 0:
             counts.append(0)
             n = 0
             continue
         lkeys = _npkeys(cols, left_key)
-        if kind == "join":
+        if is_join:
+            np_index, np_extras = arrays(bound)
             lidx, ridx = _npmatch_sorted(lkeys, *np_index)
             cols = tuple(col[lidx] for col in cols) + tuple(
                 e[ridx] for e in np_extras
             )
             n = len(lidx)
         else:
-            mask = _npmask(lkeys, np_sorted)
+            mask = _npmask(lkeys, arrays(bound))
             cols = tuple(col[mask] for col in cols)
             n = int(mask.sum())
         counts.append(n)
@@ -2415,20 +2458,20 @@ def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
             )
         else:
             card, payload = 0, []
-        finish(stats, ln, counts, card)
+        finish(stats, ln, counts, card, rights)
         return card, payload
-    finish(stats, ln, counts, n)
+    finish(stats, ln, counts, n, rights)
     return n, (cols if n else [])
 
 
 def _vcompile_pipeline(
     node: Plan, key: tuple, pipe: _Pipe, project: tuple[str, ...] | None
 ) -> _Unit:
-    """Fuse a chain of joins/semijoins over constant right sides (plus an
+    """Fuse a chain of joins/semijoins over scan-unit right sides (plus an
     optional projection on top) into one generated nested-loop kernel.
 
     The kernel iterates the dynamic source batch once; each stage is a
-    prebuilt dict/set probe, later stages read their key components
+    dict/set probe, later stages read their key components
     straight out of the loop variables (source row ``r0``, stage extras
     ``e1``, ``e2``, ...), so no intermediate tuple is ever concatenated
     or appended.  Interior cardinalities — which the logical counters
@@ -2441,10 +2484,13 @@ def _vcompile_pipeline(
     runs the same chain with whole-column gathers.
 
     What is paid where: the code object is per *shape*
-    (:func:`_pipeline_code`); the namespace it is ``exec``-ed into — row
-    probe structures, the stats closure, the sticky ``_mode`` cell — is
-    per unit; the array-path build sides are per unit and built by the
-    first call that takes the array path.
+    (:func:`_pipeline_code`); the namespace it is ``exec``-ed into — the
+    stats closure, the sticky ``_mode`` cell, one empty cell per stage
+    (and one more each once the array path has run) — is per *unit*,
+    built here and never again; what fills the cells — a stage's row
+    probe, its array-path build side — is per *version* of that stage's
+    relation, built by the first execution that takes the path over it.  A write to one stage's relation leaves
+    the other stages' structures, and ``_mode``, alone.
     """
     source = pipe.source
     stages = pipe.stages
@@ -2473,27 +2519,12 @@ def _vcompile_pipeline(
                 colmap[name] = (var, off)
             cur_cols.extend(st.extra_names)
 
-    # Probe structures over the constant right sides, built once per
-    # compilation (the same per-relation precomputation the standalone
-    # kernels do for a constant child).
+    # ``_r<i>()`` is stage i's right side as the catalog holds it now,
+    # ``_p<i>`` the cell of its row probe.
     ns: dict[str, Any] = {"_to_rows": _to_rows}
     for i, st in enumerate(stages, 1):
-        rbatch = st.right.const_batch
-        rrows = _to_rows(rbatch[1], rbatch[0])
-        rkey = _key_extractor(st.right_key)
-        if st.kind == "join":
-            rext = _tuple_extractor(st.right_extra)
-            rindex: dict = {}
-            get = rindex.get
-            for rrow in rrows:
-                k = rkey(rrow)
-                bucket = get(k)
-                if bucket is None:
-                    rindex[k] = bucket = []
-                bucket.append(rext(rrow))
-            ns[f"_g{i}"] = rindex.get
-        else:
-            ns[f"_s{i}"] = set(map(rkey, rrows))
+        ns[f"_r{i}"] = st.right.bound
+        ns[f"_p{i}"] = _cell(_stage_probe(st))
 
     finish = _pipe_finish(
         stages, len(header) if project is not None else None
@@ -2501,25 +2532,7 @@ def _vcompile_pipeline(
     ns["_finish"] = finish
 
     if use_np:
-
-        def build_npstages():
-            built = []
-            for st in stages:
-                rbatch = st.right.const_batch
-                rarity = len(st.right.header)
-                np_index = np_extras = np_sorted = None
-                if st.n_right and st.kind == "join":
-                    rcols = _to_cols(rbatch, rarity)
-                    np_index = _npjoin_index(rbatch, st.right_key, rarity)
-                    np_extras = tuple(rcols[p] for p in st.right_extra)
-                elif st.n_right:
-                    np_sorted = _npsorted_keys(rbatch, st.right_key, rarity)
-                built.append(
-                    (st.kind, st.n_right, st.left_key, np_index, np_extras, np_sorted)
-                )
-            return tuple(built)
-
-        npstages = _on_demand(build_npstages)
+        npstages: list = []
         proj_positions = (
             tuple(pipe.columns.index(name) for name in header)
             if project is not None
@@ -2528,18 +2541,28 @@ def _vcompile_pipeline(
         arity0 = len(source.header)
 
         def np_fallback(stats, lbatch):
+            if not npstages:
+                # The array side's (empty) cells, made by the first call
+                # that wants them: most chains never take this path.
+                npstages.extend(
+                    (st.kind == "join", st.left_key, st.right.bound,
+                     _cell(_stage_arrays(st)))
+                    for st in stages
+                )
             return _pipe_np_run(
-                stats, lbatch, arity0, npstages(), finish, proj_positions
+                stats, lbatch, arity0, npstages, finish, proj_positions
             )
 
         ns["_npfall"] = np_fallback
         ns["_amin"] = _ARRAY_MIN
         # One-cell adaptive-dispatch flag: set when a row pass trips the
         # mid-flight restart guard, so subsequent executions of this unit
-        # go straight to the array path instead of re-discovering the
-        # blow-up (and paying for the abandoned row pass) every time.
+        # — after a write too — go straight to the array path instead of
+        # re-discovering the blow-up (and paying for the abandoned row
+        # pass, and for row probes nothing will use) every time.
         ns["_mode"] = [0]
 
+    n_stages = len(stages)
     lines = [
         "def run_pipe(stats, lbatch):",
         "    ln = lbatch[0]",
@@ -2554,7 +2577,9 @@ def _vcompile_pipeline(
         "    if type(rows) is not list:",
         "        rows = _to_rows(rows, ln)",
     ]
-    for i in range(1, len(stages) + 1):
+    for i in range(1, n_stages + 1):
+        lines.append(f"    q{i} = _r{i}()")
+        lines.append(f"    p{i} = _p{i}(q{i})")
         lines.append(f"    c{i} = 0")
     if project is not None:
         lines.append("    cand = {}")
@@ -2583,14 +2608,14 @@ def _vcompile_pipeline(
             lines.append(f"{pad}    return _npfall(stats, lbatch)")
     for i, (st, kx) in enumerate(zip(stages, key_exprs), 1):
         if st.kind == "join":
-            lines.append(f"{pad}b{i} = _g{i}({kx})")
+            lines.append(f"{pad}b{i} = p{i}({kx})")
             lines.append(f"{pad}if b{i} is None:")
             lines.append(f"{pad}    continue")
             lines.append(f"{pad}c{i} += len(b{i})")
             lines.append(f"{pad}for e{i} in b{i}:")
             pad += "    "
         else:
-            lines.append(f"{pad}if {kx} not in _s{i}:")
+            lines.append(f"{pad}if {kx} not in p{i}:")
             lines.append(f"{pad}    continue")
             lines.append(f"{pad}c{i} += 1")
     if project is not None:
@@ -2605,10 +2630,13 @@ def _vcompile_pipeline(
         lines.append(f"{pad}_append({' + '.join(emit_segs)})")
     if project is not None:
         lines.append("    out = list(cand)")
-    counts = ", ".join(f"c{i}" for i in range(1, len(stages) + 1))
-    if len(stages) == 1:
-        counts += ","
-    lines.append(f"    _finish(stats, ln, ({counts}), len(out))")
+
+    def listed(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(1, n_stages + 1)) + ","
+
+    lines.append(
+        f"    _finish(stats, ln, ({listed('c')}), len(out), ({listed('q')}))"
+    )
     lines.append("    return len(out), out")
     exec(_pipeline_code("\n".join(lines)), ns)
 
@@ -2653,12 +2681,12 @@ class VectorizedEngine(CompiledEngine):
     inherited unchanged from :class:`CompiledEngine` (the cached driver
     is payload-agnostic); the uncached driver is overridden with a
     flattened-program interpreter, and the per-unit kernels and scan
-    lowering differ.  Scans bind the base relation's memoized
+    lowering differ.  Scans read the base relation's memoized
     :meth:`Relation.columnar` store — dictionary encoding happens once
     per base relation, and constant/equality selections are folded into
-    precomputed constant batches at compile time, which join and
-    semijoin parents exploit by prebuilding their probe structures once
-    per compilation.  The logical :class:`ExecutionStats` counters are
+    a batch once per version of it, which join and semijoin parents
+    exploit by keeping their probe structures for as long as that batch
+    lives.  The logical :class:`ExecutionStats` counters are
     byte-identical to both other engines; ``rows_built`` matches the
     compiled engine's (and is therefore never above the interpreter's).
 
@@ -2671,6 +2699,27 @@ class VectorizedEngine(CompiledEngine):
     >>> VectorizedEngine(db).execute(plan).cardinality
     3
     """
+
+    def __init__(
+        self,
+        database: Database,
+        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
+    ) -> None:
+        super().__init__(database, plan_cache_size)
+        self._pool_epoch = pool_epoch()
+
+    def _sync_catalog(self) -> None:
+        """As inherited, after dropping both stores wholesale if the
+        columnar interning pool epoch moved
+        (:func:`repro.relalg.columnar.clear_interning`): this engine's
+        cached batches and the cells of its units are made of dictionary
+        codes, which the relation objects they are keyed on do not show
+        going stale.  (The row engine holds no codes and keeps both.)"""
+        if self._pool_epoch != pool_epoch():
+            self._units.clear()
+            self._cache.clear()
+            self._pool_epoch = pool_epoch()
+        super()._sync_catalog()
 
     def execute(self, plan: Plan, stats: ExecutionStats | None = None) -> Relation:
         """Compile (or reuse) and evaluate ``plan`` over column batches."""
@@ -2744,127 +2793,13 @@ class VectorizedEngine(CompiledEngine):
         return values[0]
 
     def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
-        base = self._database.get(scan.relation)
-        first_position, equalities, out_positions = _scan_layout(scan, base)
-        header = scan.columns
-        arity = len(header)
-        store = base.columnar()
-        use_arrays = _np is not None
-        cols = store.arrays() if use_arrays else store.codes
-        n = store.cardinality
-
+        fetch, columns = self._scan_source(scan)
+        first_position, equalities, out_positions = _scan_layout(scan, len(columns))
         if not scan.constants and not equalities:
-            # Zero-copy: the scan's batch is the base store's columns
-            # (out_positions is the identity here, as in the row engine);
-            # below the array threshold the row form is materialized once
-            # per compilation instead.
-            if use_arrays and n >= _ARRAY_MIN:
-                payload: Any = cols
-            else:
-                codes = store.codes
-                if not arity:
-                    payload = [()] * n
-                elif arity == 1:
-                    payload = list(zip(codes[0]))
-                else:
-                    payload = list(zip(*codes))
-            batch: Batch = (n, payload)
-            id_trace = (arity,)
-
-            def run_identity(stats: ExecutionStats) -> Batch:
-                stats.record_bulk(0, 0, 0, 1, n, 0, n, arity, 0, id_trace)
-                return batch
-
-            return _Unit(
-                fn=run_identity,
-                children=(),
-                key=key,
-                header=header,
-                source=base,
-                source_columns={
-                    variable: base.columns[position]
-                    for variable, position in first_position.items()
-                },
-                source_positions=dict(first_position),
-                const_batch=batch,
-            )
-
-        # Selections depend only on the (immutable) base relation, so the
-        # whole filtered batch is folded at compile time; mutating the
-        # relation bumps its version, which evicts the unit and recompiles.
-        if use_arrays:
-            mask = None
-            empty = False
-            for position, value in scan.constants:
-                code = lookup_code(value)
-                if code is None:
-                    # Never-interned constant: cannot occur in any column.
-                    empty = True
-                    break
-                m = cols[position] == code
-                mask = m if mask is None else mask & m
-            if not empty:
-                for left, right in equalities:
-                    m = cols[left] == cols[right]
-                    mask = m if mask is None else mask & m
-            if empty:
-                matched = 0
-                out_cols: tuple = tuple(_NP_EMPTY for _ in out_positions)
-            else:
-                matched = int(mask.sum())
-                out_cols = tuple(cols[p][mask] for p in out_positions)
-            # Kept positions functionally determine the dropped ones, so
-            # the filtered batch is distinct — except at arity 0, where
-            # the output collapses to a single empty tuple.
-            nrows = matched if arity else (1 if matched else 0)
-            payload = (
-                out_cols
-                if matched >= _ARRAY_MIN and arity
-                else _to_rows(out_cols, nrows)
-            )
-        else:
-            sel: list[int] | None = None
-            empty = False
-            for position, value in scan.constants:
-                code = lookup_code(value)
-                if code is None:
-                    # Never-interned constant: cannot occur in any column.
-                    empty = True
-                    break
-                col = cols[position]
-                if sel is None:
-                    sel = [i for i, c in enumerate(col) if c == code]
-                else:
-                    sel = [i for i in sel if col[i] == code]
-            if not empty:
-                for left, right in equalities:
-                    ci, cj = cols[left], cols[right]
-                    if sel is None:
-                        sel = [i for i in range(n) if ci[i] == cj[i]]
-                    else:
-                        sel = [i for i in sel if ci[i] == cj[i]]
-            if empty or sel is None:
-                sel = []
-            matched = len(sel)
-            nrows = matched if arity else (1 if matched else 0)
-            if arity:
-                payload = [
-                    tuple(cols[p][i] for p in out_positions) for i in sel
-                ]
-            else:
-                payload = [()] * nrows
-        batch = (nrows, payload)
-        scan_trace = (arity,)
-
-        def run_scan(stats: ExecutionStats) -> Batch:
-            stats.record_bulk(
-                0, 0, 0, 1, nrows, nrows, nrows, arity, 0, scan_trace
-            )
-            return batch
-
-        return _Unit(
-            fn=run_scan, children=(), key=key, header=header, const_batch=batch
-        )
+            unit = _scan_unit(key, scan.columns, _cell(_fold_scan, fetch))
+            return _zero_copy(unit, fetch, columns, first_position)
+        fold = partial(_fold_selection, scan.constants, equalities, out_positions)
+        return _scan_unit(key, scan.columns, _cell(fold, fetch))
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,9 @@ when that relation is touched.  Caches key their entries on the versions
 of the relations a plan actually scans (its *dependency version vector*,
 see :func:`repro.plans.dependencies`), so mutating one relation retains
 every cached result that does not depend on it.  The historical
-:attr:`Database.generation` counter is kept as a derived quantity — the
-maximum version in the catalog, i.e. the clock — so whole-catalog
-observers still see a counter that changes on every mutation.
+:attr:`Database.generation` counter is kept as that clock, so
+whole-catalog observers still see a counter that changes on every
+mutation, :meth:`Database.drop` included.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ class Database:
     def generation(self) -> int:
         """Monotonic counter bumped by every catalog mutation.
 
-        Derived from the per-relation versions: every mutation stamps
-        the touched relation with a fresh tick of the shared catalog
-        clock, so the maximum version — which this property returns —
-        increases on every mutation.  Kept for backward compatibility
+        This is the shared catalog clock: every mutation advances it,
+        stamping the touched relation with the new tick (a :meth:`drop`
+        advances it and removes the stamp), so it is never below the
+        largest version in the catalog.  Kept for backward compatibility
         as a cheap "did *anything* change" probe; caches that want to
         survive writes key on :meth:`version` / :meth:`version_vector`
         instead.
@@ -73,10 +73,11 @@ class Database:
     def version(self, name: str) -> int:
         """Version of the relation registered under ``name``.
 
-        ``0`` means the name has never been registered in this catalog;
-        otherwise it is the value of the catalog clock when the relation
-        was last touched (by :meth:`add`, :meth:`replace`,
-        :meth:`insert_rows`, or :meth:`delete_rows`).  Versions are
+        ``0`` means the name is not registered in this catalog (never
+        was, or was dropped); otherwise it is the value of the catalog
+        clock when the relation was last touched (by :meth:`add`,
+        :meth:`replace`, :meth:`put`, :meth:`insert_rows`, or
+        :meth:`delete_rows`).  Versions are
         never reused, so ``version(name)`` changing is exactly the
         signal that cached results depending on ``name`` are stale.
         """
@@ -150,6 +151,21 @@ class Database:
         self._relations[name] = relation
         self._touch(name)
         return True
+
+    def drop(self, name: str) -> None:
+        """Remove the relation registered under ``name``.
+
+        Advances the catalog clock like any other mutation, so version
+        observers see the change (the name is simply absent from the
+        next :meth:`versions` snapshot and its :meth:`version` reads 0
+        again); a later :meth:`add` of the same name gets a fresh tick,
+        never an old version.  Unknown names raise
+        :class:`~repro.errors.CatalogError`.
+        """
+        self.get(name)  # raises on an unknown name
+        del self._relations[name]
+        del self._versions[name]
+        self._clock += 1
 
     def insert_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> int:
         """Add ``rows`` to the relation under ``name``; return the number

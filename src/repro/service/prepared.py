@@ -287,7 +287,7 @@ class PreparedStatement:
         (used when the statement is evicted)."""
         for name in self.param_relations:
             if name in database:
-                database.delete_rows(name, list(database.get(name).rows))
+                database.drop(name)
 
 
 @dataclass

@@ -66,6 +66,29 @@ class TestColumnStore:
         rows = set(zip(decode_column(store.codes[0]), decode_column(store.codes[1])))
         assert rows == {(1, "x"), (2, "y")}
 
+    def test_from_rows_interns_only_unseen_columns(self):
+        seen = [("from-rows", i) for i in range(4)]
+        for value in seen:
+            encode_value(value)
+        before = _interned_pool_size()
+        rows = [(seen[i], seen[3 - i]) for i in range(4)]
+        store = ColumnStore.from_rows(iter(rows), 2)  # any iterable
+        assert _interned_pool_size() == before  # lookups only
+        assert store.cardinality == 4
+        assert [decode_column(col) for col in store.codes] == [
+            [row[0] for row in rows],
+            [row[1] for row in rows],
+        ]
+        fresh = [(seen[0], ("from-rows", "new", i % 2)) for i in range(4)]
+        store = ColumnStore.from_rows(fresh, 2)
+        assert _interned_pool_size() == before + 2
+        assert decode_column(store.codes[1]) == [row[1] for row in fresh]
+
+    def test_from_rows_degenerate_shapes(self):
+        assert ColumnStore.from_rows([(), ()], 0).cardinality == 2
+        empty = ColumnStore.from_rows([], 3)
+        assert empty.cardinality == 0 and empty.codes == ([], [], [])
+
     def test_store_is_memoized_on_relation(self):
         rel = Relation(("a",), [(1,)])
         assert rel.columnar() is rel.columnar()

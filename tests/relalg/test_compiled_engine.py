@@ -244,10 +244,13 @@ class TestCacheSemantics:
         plan = Scan("edge", ("x", "y"))
         engine = CompiledEngine(db)
         assert engine.execute(plan).cardinality == 6
+        unit = engine._compile(plan)
         db.replace("edge", Relation(("u", "w"), [(1, 2)]))
-        # Scans bind base rows at compile time, so recompilation (not
-        # just cache invalidation) is what this asserts.
+        # Scans read base rows through the catalog at run time: the
+        # cached result goes, the unit (same columns) stays and sees
+        # the new rows.
         assert engine.execute(plan).cardinality == 1
+        assert engine._compile(plan) is unit
 
     def test_lru_bound_holds(self, db):
         engine = CompiledEngine(db, plan_cache_size=2)

@@ -233,3 +233,31 @@ class TestPut:
     def test_put_empty_name_rejected(self):
         with pytest.raises(CatalogError):
             Database().put("", Relation(("a",)))
+
+
+class TestDrop:
+    def test_drop_removes_and_advances_the_clock(self):
+        db = Database()
+        db.add("r", Relation(("a",), [(1,)]))
+        db.add("s", Relation(("b",), [(2,)]))
+        clock = db.generation
+        db.drop("r")
+        assert "r" not in db and len(db) == 1
+        assert db.generation > clock
+        assert db.version("r") == 0
+        assert "r" not in db.versions()
+
+    def test_drop_unknown_name_rejected(self):
+        db = Database()
+        with pytest.raises(CatalogError, match="unknown relation"):
+            db.drop("nope")
+
+    def test_readd_never_reuses_a_version(self):
+        db = Database()
+        db.add("r", Relation(("a",), [(1,)]))
+        seen = {db.version("r")}
+        for _ in range(3):
+            db.drop("r")
+            db.add("r", Relation(("a",), [(1,)]))
+            assert db.version("r") not in seen
+            seen.add(db.version("r"))

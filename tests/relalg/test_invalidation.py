@@ -11,16 +11,24 @@ covers the building blocks directly: :func:`repro.plans.dependencies`,
 ``cache_info()``/``clear_cache()`` introspection surface.
 """
 
+import builtins
+
 import pytest
 
-from repro.plans import Join, Project, Scan, dependencies
+from repro import parse_rule
+from repro.errors import CatalogError, SchemaError
+from repro.plans import Join, Project, Scan, Semijoin, dependencies
 from repro.relalg import compiled
 from repro.relalg.cache import CatalogVersionTracker, DependencyCache
 from repro.relalg.columnar import clear_interning
-from repro.relalg.compiled import CompiledEngine, VectorizedEngine
+from repro.relalg.compiled import CompiledEngine, VectorizedEngine, make_engine
 from repro.relalg.database import Database, database_from_tuples
 from repro.relalg.engine import Engine
+from repro.relalg.relation import Relation
 from repro.relalg.stats import ExecutionStats
+from repro.service.prepared import PreparedStatement, canonicalize_query
+
+from tests.relalg.test_vectorized_engine import logical
 
 ENGINES = (Engine, CompiledEngine, VectorizedEngine)
 
@@ -183,6 +191,15 @@ class TestCatalogVersionTracker:
         # Resynced: a second probe with no further writes is quiet.
         assert tracker.changed_relations() is None
 
+    def test_names_dropped_relations(self):
+        db = two_relation_db()
+        tracker = CatalogVersionTracker(db)
+        db.drop("s")
+        assert tracker.changed_relations() == {"s"}
+        assert tracker.vector(("r", "s"))[1] == 0
+        db.add("s", db["r"])
+        assert tracker.changed_relations() == {"s"}
+
     def test_vector_reflects_synced_snapshot(self):
         db = two_relation_db()
         tracker = CatalogVersionTracker(db)
@@ -265,25 +282,32 @@ class TestSelectiveRetention:
 
 @pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
 def test_compiled_units_survive_unrelated_mutations(engine_cls):
+    """...and related ones: a unit is per plan shape and base schema, so
+    a write to a relation of its footprint evicts the cached results
+    over it and nothing else."""
     db = two_relation_db()
     engine = engine_cls(db)
     engine.execute(plan_over("r"))
     engine.execute(plan_over("s"))
     units_before = len(engine._units)
+    unit_s = engine._compile(plan_over("s"))
     assert units_before > 0
     db.insert_rows("s", [(30, 40)])
     engine.execute(plan_over("r"))  # triggers the catalog sync
-    # Units over r survive; units over s were evicted and not yet rebuilt.
-    assert 0 < len(engine._units) < units_before
-    engine.execute(plan_over("s"))  # recompiles the s units
+    assert len(engine._units) == units_before
+    assert engine.cache_info().evictions > 0  # the results over s went
+    assert (30,) in engine.execute(plan_over("s")).rows
+    assert engine._compile(plan_over("s")) is unit_s
     assert len(engine._units) == units_before
 
 
 @pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
 def test_clear_interning_drops_all_compiled_state(engine_cls):
-    """Units bake dictionary codes (vectorized ``const_batch``), so a
-    pool-epoch change invalidates everything wholesale — and the next
-    execution transparently recompiles under the new epoch."""
+    """All of it that can hold a code, that is.  The vectorized engine's
+    batches and cells are made of dictionary codes, so a pool-epoch
+    change drops its stores wholesale and the next execution lowers
+    again under the new epoch; the row engine holds no code anywhere
+    and keeps its units."""
     db = two_relation_db()
     engine = engine_cls(db)
     expected = engine.execute(plan_over("r"))
@@ -292,12 +316,13 @@ def test_clear_interning_drops_all_compiled_state(engine_cls):
     clear_interning()
     assert engine.execute(plan_over("r")) == expected
     assert len(engine._units) > 0
-    assert engine._compile(plan_over("r")) is not stale
+    kept = engine._compile(plan_over("r")) is stale
+    assert kept == (engine_cls is CompiledEngine)
 
 
 def test_clear_interning_rederives_probe_structures(monkeypatch, array_builds):
     """What a vectorized unit holds that is made of dictionary codes —
-    constant batches, row probe dicts and sets, array-path indexes — is
+    scan batches, row probe dicts and sets, array-path indexes — is
     built again under the new epoch.  The generated kernel's code object
     is positional (no codes in it) and is the one thing that survives."""
     if compiled._np is None:
@@ -322,21 +347,263 @@ def test_clear_interning_rederives_probe_structures(monkeypatch, array_builds):
     assert len(array_builds) == per_epoch  # kept within an epoch
 
     stale = engine._compile(chain)
+    stale_batch = stale.children[0].bound()
     clear_interning()
     assert engine.execute(chain) == expected
     fresh = engine._compile(chain)
     assert len(array_builds) == 2 * per_epoch  # array indexes built again
     assert fresh is not stale
-    assert fresh.children[0].const_batch is not stale.children[0].const_batch
+    assert fresh.children[0].bound() is not stale_batch
     assert fresh.fn.__code__ is stale.fn.__code__
     old, new = stale.fn.__globals__, fresh.fn.__globals__
-    probes = [name for name in old if name[:2] in ("_g", "_s")]
-    assert probes
-    for name in probes + ["_finish", "_npfall", "_mode"]:
-        # ``_g<i>`` is the bound ``get`` of a stage's probe dict.
-        assert getattr(new[name], "__self__", new[name]) is not getattr(
-            old[name], "__self__", old[name]
-        ), name
+    cells = [name for name in old if name[:2] == "_p"]
+    assert cells
+    for name in cells + ["_finish", "_npfall", "_mode"]:
+        assert new[name] is not old[name], name
+
+
+# ----------------------------------------------------------------------
+# Lower once, bind per version: what a write may and may not redo
+# ----------------------------------------------------------------------
+def chain_db() -> Database:
+    return database_from_tuples(
+        {
+            "e0": (("a", "b"), [(i, (i * 3) % 7) for i in range(12)]),
+            "e1": (("a", "b"), [(i % 7, (i * 5) % 11) for i in range(20)]),
+            "e2": (("a", "b"), [(i % 11, i % 4) for i in range(25)]),
+        }
+    )
+
+
+CHAIN_PLANS = (
+    # A fused chain under a projection (one pipeline on the vectorized
+    # engine), the same chain bare, a filtered and a repeated-variable
+    # scan, a semijoin against a zero-copy scan, a folded projection.
+    Project(
+        Join(
+            Join(Scan("e0", ("x0", "x1")), Scan("e1", ("x1", "x2"))),
+            Scan("e2", ("x2", "x3")),
+        ),
+        ("x0",),
+    ),
+    Join(Scan("e0", ("x0", "x1")), Scan("e1", ("x1", "x2"))),
+    Join(
+        Scan("e0", ("x",), constants=((1, 3),)),
+        Scan("e1", ("x", "x2")),
+    ),
+    Project(
+        Semijoin(Scan("e1", ("x1", "x2")), Scan("e2", ("x2", "x3"))),
+        ("x1",),
+    ),
+    Join(
+        Project(Scan("e0", ("x0", "x1")), ("x1",)),
+        Project(Scan("e1", ("x1", "x2")), ("x1",)),
+    ),
+)
+
+
+@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
+def numpy_mode(request, monkeypatch):
+    if not request.param:
+        monkeypatch.setattr(compiled, "_np", None)
+    elif compiled._np is None:
+        pytest.skip("numpy is not installed")
+
+
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Counts of what lowering costs, by name: ``_build_unit`` calls on
+    either compiled engine and ``builtins.compile`` calls from anywhere."""
+    counts = {"_build_unit": 0, "compile": 0}
+    for engine_cls in (CompiledEngine, VectorizedEngine):
+        original = engine_cls._build_unit
+
+        def build_unit(self, *args, _original=original):
+            counts["_build_unit"] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(engine_cls, "_build_unit", build_unit)
+    real_compile = builtins.compile
+
+    def counting_compile(*args, **kwargs):
+        counts["compile"] += 1
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    return counts
+
+
+@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+@pytest.mark.parametrize("cache_size", (0, 64))
+def test_writes_lower_nothing(engine_cls, cache_size, numpy_mode, lowerings):
+    db = chain_db()
+    engine = engine_cls(db, plan_cache_size=cache_size)
+    reference = Engine(db, plan_cache_size=0)
+    units = None
+    for round_number in range(7):
+        for plan in CHAIN_PLANS:
+            result, stats = engine.execute_with_stats(plan)
+            expected, expected_stats = reference.execute_with_stats(plan)
+            assert result == expected
+            assert logical(stats) == logical(expected_stats)
+        if units is None:
+            units = [engine._compile(plan) for plan in CHAIN_PLANS]
+            lowered = dict(lowerings)
+            assert lowered["_build_unit"] > 0
+        else:
+            assert [engine._compile(plan) for plan in CHAIN_PLANS] == units
+            assert lowerings == lowered
+        # One write of each kind per round, cycling over the footprint.
+        name = f"e{round_number % 3}"
+        fresh = 100 + round_number
+        db.insert_rows(name, [(fresh, fresh % 5), (fresh % 7, fresh)])
+        db.delete_rows(name, [sorted(db[name].rows)[round_number]])
+        other = f"e{(round_number + 1) % 3}"
+        kept = sorted(db[other].rows)[1:] + [(fresh % 3, fresh % 4)]
+        assert db.put(other, Relation(db[other].columns, kept))
+
+
+@pytest.mark.parametrize("engine_name", ("compiled", "vectorized"))
+def test_rebind_lowers_nothing(engine_name, numpy_mode, lowerings):
+    db = Database({"graph": Relation(("u", "w"), [(i, (i * 2) % 9) for i in range(9)])})
+    engine = make_engine(engine_name, db)
+    statement = PreparedStatement(
+        1, canonicalize_query(parse_rule("q(X) :- graph(2, Y), graph(Y, X)."))[0], "bucket"
+    )
+    answers = set()
+    lowered = None
+    for constant in (2, 5, 7, 2):
+        assert statement.bind(db, (constant,)) == 1
+        result = engine.execute(statement.plan)
+        assert result == Engine(db).execute(statement.plan)
+        answers.add(result.rows)
+        if lowered is None:
+            unit = engine._compile(statement.plan)
+            lowered = dict(lowerings)
+        assert engine._compile(statement.plan) is unit
+        assert lowerings == lowered
+    assert len(answers) > 1  # the rebinds were observed
+    # Only the drop lets go of the units over the parameter relation.
+    before = engine.cache_info().units
+    statement.unbind(db)
+    engine.execute(Scan("graph", ("a", "b")))  # syncs the catalog
+    after = engine.cache_info().units
+    assert after < before
+    assert all(dep == "graph" for dep in engine._units._by_dep)
+
+
+@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+class TestReshapedRelations:
+    """A unit goes when a relation of its footprint is dropped or changes
+    columns — the only writes its layout can see."""
+
+    def test_other_arity_raises_at_lowering(self, engine_cls):
+        db = two_relation_db()
+        engine = engine_cls(db)
+        plan = plan_over("s")
+        engine.execute(plan)
+        db.replace("s", Relation(("c", "d", "e"), [(1, 2, 3)]))
+        with pytest.raises(SchemaError):
+            engine.execute(plan)
+        db.replace("s", Relation(("c", "d"), [(1, 2)]))
+        assert engine.execute(plan) == Engine(db).execute(plan)
+
+    def test_renamed_columns_lower_again(self, engine_cls):
+        db = two_relation_db()
+        engine = engine_cls(db)
+        # The semijoin probes the zero-copy scan's key index by base
+        # column *name* on the row engine: a stale layout would raise.
+        plan = Semijoin(Scan("r", ("x", "y")), Scan("s", ("y", "z")))
+        stale = engine._compile(plan)
+        engine.execute(plan)
+        db.replace("s", Relation(("p", "q"), [(2, 7), (4, 8)]))
+        assert engine.execute(plan) == Engine(db).execute(plan)
+        assert engine.execute(plan).cardinality == 2
+        assert engine._compile(plan) is not stale
+
+    def test_drop_then_readd(self, engine_cls):
+        db = two_relation_db()
+        engine = engine_cls(db)
+        plan = plan_over("s")
+        engine.execute(plan)
+        units = engine.cache_info().units
+        rows = db["s"]
+        db.drop("s")
+        with pytest.raises(CatalogError):
+            engine.execute(plan)
+        assert engine.cache_info().units == 0  # every unit scanned s
+        db.add("s", Relation(rows.columns, [(7, 8)]))
+        assert engine.execute(plan).rows == frozenset({(7,)})
+        assert engine.cache_info().units == units
+
+    def test_drop_and_readd_between_executions(self, engine_cls):
+        db = two_relation_db()
+        engine = engine_cls(db)
+        plan = plan_over("s")
+        engine.execute(plan)
+        unit = engine._compile(plan)
+        columns = db["s"].columns
+        db.drop("s")
+        db.add("s", Relation(columns, [(7, 8)]))
+        # Same name, same columns: the unit is still right, its data new.
+        assert engine.execute(plan).rows == frozenset({(7,)})
+        assert engine._compile(plan) is unit
+
+
+@pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
+def test_pinned_chain_rebuilds_only_what_was_written(array_builds, monkeypatch):
+    """A chain whose row pass once tripped the restart guard stays on the
+    array path across writes, never builds a row probe again, and
+    rebuilds only the build side of the stage whose relation changed."""
+    database = Database(
+        {
+            "src": Relation(("z", "a"), [(i, i % 40) for i in range(40)]),
+            "fan": Relation(
+                ("a", "b"),
+                [(a, 100 + a * 20 + k) for a in range(40) for k in range(20)],
+            ),
+            "keep": Relation(
+                ("b", "c"), [(100 + i, i % 3) for i in range(0, 800, 2)]
+            ),
+        }
+    )
+    plan = Project(
+        Semijoin(
+            Join(Scan("src", ("z", "a")), Scan("fan", ("a", "b"))),
+            Scan("keep", ("b", "c")),
+        ),
+        ("z",),
+    )
+    row_builds = []
+    bucket = compiled._bucket
+    monkeypatch.setattr(
+        compiled, "_bucket", lambda *args: row_builds.append(1) or bucket(*args)
+    )
+    engine = VectorizedEngine(database, plan_cache_size=16)
+    reference = Engine(database, plan_cache_size=0)
+    assert engine.execute(plan) == reference.execute(plan)
+    unit = engine._compile(plan)
+    mode = unit.fn.__globals__["_mode"]
+    assert mode == [1]
+    assert sorted(array_builds) == ["_npjoin_index", "_npsorted_keys"]
+    abandoned = len(row_builds)  # the pass that tripped the guard built these
+    assert abandoned > 0
+    writes = (
+        ("src", [(40, 3)], []),  # the chain's source: no build side at all
+        ("fan", [(3, 999)], ["_npjoin_index"]),
+        ("keep", [(999, 0)], ["_npsorted_keys"]),
+    )
+    for name, rows, rebuilt in writes:
+        del array_builds[:]
+        assert database.insert_rows(name, rows) == len(rows)
+        result, stats = engine.execute_with_stats(plan)
+        expected, expected_stats = reference.execute_with_stats(plan)
+        assert result == expected
+        assert logical(stats) == logical(expected_stats)
+        assert array_builds == rebuilt
+        assert len(row_builds) == abandoned
+        assert engine._compile(plan) is unit
+        assert unit.fn.__globals__["_mode"] is mode and mode == [1]
 
 
 # ----------------------------------------------------------------------

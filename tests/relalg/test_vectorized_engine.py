@@ -305,11 +305,13 @@ class TestCacheSemantics:
         plan = Scan("edge", ("x", "y"))
         engine = VectorizedEngine(db)
         assert engine.execute(plan).cardinality == 6
+        unit = engine._compile(plan)
         db.replace("edge", Relation(("u", "w"), [(10, 20)]))
-        # Scans bind the base relation's column store at compile time, so
-        # this asserts recompilation against the new catalog entry.
+        # Scans fold the column store of whatever relation the catalog
+        # holds at run time: same unit, new batch.
         result = engine.execute(plan)
         assert result == Relation(("x", "y"), [(10, 20)])
+        assert engine._compile(plan) is unit
 
 
 def logical(stats: ExecutionStats) -> tuple:
@@ -404,6 +406,27 @@ class TestPipelineCodeCache:
         assert second.misses == first.misses  # nothing compiled again
         assert second.hits == first.hits + kernels
 
+    def test_writes_generate_no_kernel(self):
+        # The kernel is lowered once per unit, not once per version of
+        # its data: after a write the same units run again, and neither
+        # a source text nor a code object is asked for.
+        database = edge_database()
+        plans = cold_plans()[:4]
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        for plan in plans:
+            engine.execute(plan)
+        before = compiled._pipeline_code.cache_info()
+        for colour in (4, 5):
+            database.insert_rows("edge", [(colour, 1), (1, colour)])
+            for plan in plans:
+                result, stats = engine.execute_with_stats(plan)
+                expected, expected_stats = Engine(
+                    database, plan_cache_size=0
+                ).execute_with_stats(plan)
+                assert result == expected
+                assert logical(stats) == logical(expected_stats)
+        assert compiled._pipeline_code.cache_info() == before
+
     def test_cache_is_bounded(self):
         # Chains of 8 stages, each a join or a semijoin against a scan:
         # 2**8 plans whose prefixes of 2..8 stages are 508 distinct
@@ -441,8 +464,9 @@ class TestPipelineCodeCache:
 
 @pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
 class TestOnDemandArrayStructures:
-    """Array-path build sides over constant right children are built by
-    the first call that takes the array path — never at compile time."""
+    """Array-path build sides over scan-unit right children are built by
+    the first call that takes the array path over a given version of
+    the child's relation — never at lowering time."""
 
     def test_small_batches_never_build_them(self, db, array_builds):
         query = parse_rule("q(A) :- edge(A, B), edge(B, C), edge(C, D).")

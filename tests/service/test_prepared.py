@@ -154,8 +154,11 @@ class TestPreparedStatement:
         statement.bind(db, values)
         name = statement.param_relations[0]
         assert db.get(name).cardinality == 1
+        clock = db.generation
         statement.unbind(db)
-        assert db.get(name).cardinality == 0
+        assert name not in db  # dropped, not left behind as an empty name
+        assert db.generation > clock
+        statement.unbind(db)  # nothing bound: a no-op, not an error
 
     def test_columns_positional(self):
         cache = PreparedStatementCache()
@@ -231,6 +234,7 @@ class TestStatementEviction:
         host = DatabaseHost("g", database, prepared_cache_size=self.CAPACITY)
         lengths = range(1, 3 * self.CAPACITY + 1)
         units_per_round = []
+        catalog_per_round = []
         for round_number in range(self.ROUNDS):
             # Cycling through more shapes than the LRU holds misses every
             # time: each round evicts, and re-prepares under fresh
@@ -247,22 +251,24 @@ class TestStatementEviction:
                 )
                 assert result.rows == expected.rows
             units_per_round.append(host.engine(engine_name).cache_info().units)
+            catalog_per_round.append(len(host.database))
 
         assert host.prepared.info()["evictions"] == (
             self.ROUNDS * len(lengths) - self.CAPACITY
         )
-        live = leftover = 0
+        live = 0
         for name in database.names():
             if not name.startswith(PARAM_RELATION_PREFIX):
                 continue
             statement_id = int(name[len(PARAM_RELATION_PREFIX):].split("_")[0])
-            rows = database.get(name).cardinality
-            if host.prepared.by_id(statement_id) is None:
-                leftover += rows
-            else:
-                live += rows
-        assert leftover == 0
+            # Eviction drops the relation; it does not leave an empty name.
+            assert host.prepared.by_id(statement_id) is not None, name
+            live += database.get(name).cardinality
         assert live == self.CAPACITY  # one bound row per live statement
-        # Retained compiled units stop growing once the LRU is full: the
-        # count after every later round equals the count after the first.
+        # Units survive writes to their relations, so it is the drop that
+        # lets go of an evicted statement's: retained units and catalog
+        # names both stop growing once the LRU is full — every later round
+        # ends where the first did.
         assert len(set(units_per_round)) == 1, units_per_round
+        assert len(set(catalog_per_round)) == 1, catalog_per_round
+        assert catalog_per_round[-1] == 1 + self.CAPACITY  # graph + live params

@@ -12,7 +12,10 @@ The suite drives random acyclic instances through all six planning
 methods on all three engines: both engines observe the *same* mutating
 database (the baseline emulating the pre-versioning behaviour by calling
 ``clear_cache()`` after every write), with random insert / delete /
-replace mutations interleaved between executions.
+replace / drop-and-re-add / column-renaming mutations interleaved
+between executions.  The last two are the only writes a compiled unit's
+layout can see: everything else must leave the units alone and still be
+observed through them.
 """
 
 import random
@@ -47,10 +50,11 @@ def copy_database(db: Database) -> Database:
 
 
 def random_mutation(db: Database, rng: random.Random) -> None:
-    """Apply one random catalog write: insert, delete, or replace."""
+    """Apply one random catalog write: insert, delete, replace, drop
+    and re-add, or a replace that renames the columns."""
     name = rng.choice(db.names())
     relation = db[name]
-    op = rng.choice(("insert", "delete", "replace"))
+    op = rng.choice(("insert", "delete", "replace", "readd", "rename"))
     if op == "insert":
         rows = [
             tuple(rng.randrange(0, 6) for _ in range(relation.arity))
@@ -64,7 +68,14 @@ def random_mutation(db: Database, rng: random.Random) -> None:
         db.delete_rows(name, victims)
     else:
         keep = [row for row in sorted(relation.rows) if rng.random() < 0.8]
-        db.replace(name, Relation(relation.columns, keep))
+        columns = relation.columns
+        if op == "rename":
+            # Plans bind base relations by position, so answers do not
+            # change — but a unit that kept the old names would.
+            columns = tuple(f"{column}_" for column in columns)
+        elif op == "readd":
+            db.drop(name)
+        db.replace(name, Relation(columns, keep))
 
 
 def assert_rounds_identical(selective, baseline, plan, rounds_rng, db):
