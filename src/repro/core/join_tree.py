@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.core.join_graph import tree_path
 from repro.core.query import ConjunctiveQuery
 from repro.core.tree_decomposition import TreeDecomposition
 from repro.errors import QueryStructureError
@@ -239,7 +238,7 @@ def mark_and_sweep(
         anchors = sorted(anchors)
         base = anchors[0]
         for other in anchors[1:]:
-            for node in nx.shortest_path(tree, base, other):
+            for node in tree_path(tree, base, other):
                 if variable not in decomposition.bags[node]:
                     raise QueryStructureError(
                         "occurrence connectivity violated while marking "

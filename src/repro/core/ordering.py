@@ -26,14 +26,13 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 from typing import Hashable
 
-import networkx as nx
-
+from repro.core.join_graph import Graph
 from repro.errors import OrderingError
 
 Node = Hashable
 
 
-def _check_order(graph: nx.Graph, order: Sequence[Node]) -> None:
+def _check_order(graph: Graph, order: Sequence[Node]) -> None:
     if set(order) != set(graph.nodes) or len(order) != graph.number_of_nodes():
         raise OrderingError(
             "order is not a permutation of the graph's nodes "
@@ -47,7 +46,7 @@ def _sorted_nodes(nodes: Iterable[Node]) -> list[Node]:
 
 
 def mcs_order(
-    graph: nx.Graph,
+    graph: Graph,
     initial: Sequence[Node] = (),
     rng: random.Random | None = None,
 ) -> list[Node]:
@@ -85,14 +84,14 @@ def mcs_order(
     return numbered
 
 
-def _check_subset(graph: nx.Graph, nodes: Sequence[Node]) -> None:
+def _check_subset(graph: Graph, nodes: Sequence[Node]) -> None:
     unknown = [node for node in nodes if node not in graph]
     if unknown:
         raise OrderingError(f"initial nodes {unknown!r} are not in the graph")
 
 
 def min_degree_order(
-    graph: nx.Graph,
+    graph: Graph,
     initial: Sequence[Node] = (),
     rng: random.Random | None = None,
 ) -> list[Node]:
@@ -124,7 +123,7 @@ def min_degree_order(
 
 
 def min_fill_order(
-    graph: nx.Graph,
+    graph: Graph,
     initial: Sequence[Node] = (),
     rng: random.Random | None = None,
 ) -> list[Node]:
@@ -157,7 +156,7 @@ def min_fill_order(
 
 
 def random_order(
-    graph: nx.Graph,
+    graph: Graph,
     initial: Sequence[Node] = (),
     rng: random.Random | None = None,
 ) -> list[Node]:
@@ -179,7 +178,7 @@ ORDER_HEURISTICS = {
 }
 
 
-def induced_width(graph: nx.Graph, order: Sequence[Node]) -> int:
+def induced_width(graph: Graph, order: Sequence[Node]) -> int:
     """Induced width of numbering ``order`` on ``graph``.
 
     Simulates the elimination pass: processing nodes from the last of the
@@ -210,7 +209,7 @@ def induced_width(graph: nx.Graph, order: Sequence[Node]) -> int:
     return width
 
 
-def elimination_fronts(graph: nx.Graph, order: Sequence[Node]) -> dict[Node, frozenset[Node]]:
+def elimination_fronts(graph: Graph, order: Sequence[Node]) -> dict[Node, frozenset[Node]]:
     """For each node, its elimination front: the node plus its earlier
     neighbours in the fill-in graph at elimination time.
 

@@ -18,8 +18,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator
 
-import networkx as nx
-
+from repro.core.join_graph import Graph, is_connected
 from repro.core.ordering import elimination_fronts
 from repro.errors import QueryStructureError
 
@@ -59,10 +58,8 @@ class TreeDecomposition:
             raise QueryStructureError("tree-decomposition edges do not form a tree")
 
     def _is_tree(self) -> bool:
-        tree = nx.Graph()
-        tree.add_nodes_from(self.bags)
-        tree.add_edges_from(self.edges)
-        return nx.is_connected(tree) and tree.number_of_edges() == len(self.bags) - 1
+        tree = self.tree()
+        return is_connected(tree) and tree.number_of_edges() == len(self.bags) - 1
 
     # ------------------------------------------------------------------
     @property
@@ -84,22 +81,22 @@ class TreeDecomposition:
             elif v == node_id:
                 yield u
 
-    def tree(self) -> nx.Graph:
-        """The underlying tree as a networkx graph (node ids only)."""
-        tree = nx.Graph()
+    def tree(self) -> Graph:
+        """The underlying tree as a graph (node ids only)."""
+        tree = Graph()
         tree.add_nodes_from(self.bags)
         tree.add_edges_from(self.edges)
         return tree
 
     # ------------------------------------------------------------------
-    def covers_vertices(self, graph: nx.Graph) -> bool:
+    def covers_vertices(self, graph: Graph) -> bool:
         """Property (1): every graph vertex appears in some bag."""
         covered: set[Node] = set()
         for bag in self.bags.values():
             covered.update(bag)
         return set(graph.nodes) <= covered
 
-    def covers_edges(self, graph: nx.Graph) -> bool:
+    def covers_edges(self, graph: Graph) -> bool:
         """Property (2): every graph edge is contained in some bag."""
         return all(
             any({u, v} <= bag for bag in self.bags.values())
@@ -117,11 +114,11 @@ class TreeDecomposition:
             holding = [nid for nid, bag in self.bags.items() if vertex in bag]
             if len(holding) <= 1:
                 continue
-            if not nx.is_connected(tree.subgraph(holding)):
+            if not is_connected(tree.subgraph(holding)):
                 return False
         return True
 
-    def is_valid_for(self, graph: nx.Graph) -> bool:
+    def is_valid_for(self, graph: Graph) -> bool:
         """All three tree-decomposition properties at once."""
         return (
             self.covers_vertices(graph)
@@ -129,7 +126,7 @@ class TreeDecomposition:
             and self.has_connected_occurrences()
         )
 
-    def validate_for(self, graph: nx.Graph) -> None:
+    def validate_for(self, graph: Graph) -> None:
         """Raise :class:`~repro.errors.QueryStructureError` naming the first
         violated property, if any."""
         if not self.covers_vertices(graph):
@@ -155,7 +152,7 @@ class TreeDecomposition:
 
 
 def from_elimination_order(
-    graph: nx.Graph, order: Sequence[Node]
+    graph: Graph, order: Sequence[Node]
 ) -> TreeDecomposition:
     """Tree decomposition induced by a numbering ``x1..xn``.
 
@@ -185,7 +182,7 @@ def from_elimination_order(
     return TreeDecomposition(bags, edges)
 
 
-def trivial_decomposition(graph: nx.Graph) -> TreeDecomposition:
+def trivial_decomposition(graph: Graph) -> TreeDecomposition:
     """The one-bag decomposition (width = |V| - 1); handy in tests."""
     return TreeDecomposition({0: frozenset(graph.nodes)}, [])
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import random
 from typing import Hashable
 
-import networkx as nx
-
+from repro.core.join_graph import Graph
 from repro.core.ordering import (
     induced_width,
     mcs_order,
@@ -37,7 +36,7 @@ Node = Hashable
 EXACT_NODE_LIMIT = 18
 
 
-def treewidth_lower_bound(graph: nx.Graph) -> int:
+def treewidth_lower_bound(graph: Graph) -> int:
     """Maximum-minimum-degree (MMD) lower bound on treewidth.
 
     Repeatedly delete a minimum-degree vertex; the largest minimum degree
@@ -55,7 +54,7 @@ def treewidth_lower_bound(graph: nx.Graph) -> int:
 
 
 def treewidth_upper_bound(
-    graph: nx.Graph, rng: random.Random | None = None
+    graph: Graph, rng: random.Random | None = None
 ) -> int:
     """Best induced width over the min-fill, min-degree, and MCS orders."""
     if graph.number_of_nodes() == 0:
@@ -69,7 +68,7 @@ def treewidth_upper_bound(
 
 
 def _eliminated_adjacency(
-    graph: nx.Graph, remaining: frozenset[Node]
+    graph: Graph, remaining: frozenset[Node]
 ) -> dict[Node, set[Node]]:
     """Adjacency of the fill-in graph on ``remaining`` after eliminating
     everything else.
@@ -98,7 +97,7 @@ def _eliminated_adjacency(
     return adjacency
 
 
-def treewidth_exact(graph: nx.Graph) -> int:
+def treewidth_exact(graph: Graph) -> int:
     """Exact treewidth by branch-and-bound subset dynamic programming.
 
     Raises ``ValueError`` for graphs above :data:`EXACT_NODE_LIMIT` nodes;
@@ -109,7 +108,7 @@ def treewidth_exact(graph: nx.Graph) -> int:
 
 
 def treewidth_exact_order(
-    graph: nx.Graph, pinned_first: frozenset[Node] | set[Node] = frozenset()
+    graph: Graph, pinned_first: frozenset[Node] | set[Node] = frozenset()
 ) -> tuple[int, list[Node]]:
     """Exact treewidth together with an optimal numbering.
 
@@ -192,7 +191,7 @@ def treewidth_exact_order(
 
 
 def _rebuild_order(
-    graph: nx.Graph, width: int, pinned: frozenset[Node]
+    graph: Graph, width: int, pinned: frozenset[Node]
 ) -> list[Node]:
     """Greedy reconstruction of an order with induced width <= ``width``:
     always eliminate a vertex whose current fill-degree is within budget

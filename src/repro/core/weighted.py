@@ -23,8 +23,7 @@ from collections.abc import Mapping, Sequence
 from itertools import combinations
 from typing import Hashable
 
-import networkx as nx
-
+from repro.core.join_graph import Graph
 from repro.errors import OrderingError
 from repro.plans import Plan, iter_nodes
 
@@ -39,7 +38,7 @@ def _weight_of(weights: Mapping[Node, float], node: Node) -> float:
 
 
 def weighted_induced_width(
-    graph: nx.Graph,
+    graph: Graph,
     order: Sequence[Node],
     weights: Mapping[Node, float],
 ) -> float:
@@ -73,7 +72,7 @@ def weighted_induced_width(
 
 
 def min_weighted_fill_order(
-    graph: nx.Graph,
+    graph: Graph,
     weights: Mapping[Node, float],
     initial: Sequence[Node] = (),
 ) -> list[Node]:

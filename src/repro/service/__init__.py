@@ -37,6 +37,7 @@ pool backend for ``BENCH_PR10.json``.
 """
 
 from repro.service.client import ServiceClient, ServiceError, ServiceRetryableError
+from repro.service.host import DatabaseHost
 from repro.service.pool import WorkerHandle, WorkerPool, plan_assignments
 from repro.service.prepared import (
     PreparedStatement,
@@ -56,7 +57,7 @@ from repro.service.protocol import (
     error_response,
     ok_response,
 )
-from repro.service.server import DatabaseHost, QueryService, Session, ServiceConfig
+from repro.service.server import QueryService, Session, ServiceConfig
 from repro.service.stats import LatencyRecorder, ServiceStats
 
 __all__ = [

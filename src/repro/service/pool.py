@@ -41,13 +41,15 @@ like routing tables and sequence counters never race with mutation.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import os
 import pickle
 import secrets
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.service.worker import FRAME_HEADER, MAX_FRAME_BYTES, worker_main
+from repro.service.worker import FRAME_HEADER, MAX_FRAME_BYTES
 
 #: Seconds a worker may stay idle before the pump sends a health ping.
 HEALTH_INTERVAL = 15.0
@@ -58,9 +60,18 @@ HEALTH_INTERVAL = 15.0
 #: like a crash.
 HARD_REQUEST_TIMEOUT = 300.0
 
-#: Handshake budget for a freshly spawned process (spawn imports the
-#: whole package from scratch).
+#: Handshake budget for a freshly spawned process (it imports the whole
+#: package from scratch).
 SPAWN_TIMEOUT = 60.0
+
+#: Seconds a terminated worker gets to exit before it is killed.
+REAP_TIMEOUT = 5.0
+
+#: What a worker process runs; port and worker id follow on argv, the
+#: handshake secret arrives on stdin.  ``-c`` rather than ``-m
+#: repro.service.worker``: the package already imports that module, and
+#: running it again as ``__main__`` would execute it twice.
+WORKER_ENTRY = "from repro.service.worker import main; main()"
 
 
 @dataclass
@@ -86,7 +97,7 @@ class WorkerHandle:
     """Parent-side view of one worker process."""
 
     worker_id: int
-    process: multiprocessing.process.BaseProcess | None = None
+    process: subprocess.Popen | None = None
     reader: asyncio.StreamReader | None = None
     writer: asyncio.StreamWriter | None = None
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
@@ -105,7 +116,7 @@ class WorkerHandle:
 
     @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return self.process is not None and self.process.poll() is None
 
 
 def plan_assignments(
@@ -219,7 +230,6 @@ class WorkerPool:
         self._pending: dict[int, asyncio.Future] = {}
         self._pumps: list[asyncio.Task] = []
         self._stopping = False
-        self._mp = multiprocessing.get_context("spawn")
 
     # -- lifecycle ----------------------------------------------------
 
@@ -237,7 +247,8 @@ class WorkerPool:
         ]
 
     async def stop(self) -> None:
-        """Fail queued work, kill pumps and processes, close the listener."""
+        """Fail queued work, cancel pumps, terminate and wait for every
+        worker process, close the listener."""
         self._stopping = True
         for task in self._pumps:
             task.cancel()
@@ -254,14 +265,7 @@ class WorkerPool:
             self._fail_inflight(handle, "shutdown", "server is stopping")
             self._drain_queue(handle, "shutdown", "server is stopping")
             await self._close_transport(handle)
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.terminate()
-        for handle in self.handles:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.kill()
-                    handle.process.join(timeout=5.0)
+            self._reap(handle)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -295,21 +299,28 @@ class WorkerPool:
         assert self._loop is not None and self._port is not None
         ready: asyncio.Future = self._loop.create_future()
         self._pending[handle.worker_id] = ready
-        handle.process = self._mp.Process(
-            target=worker_main,
-            args=("127.0.0.1", self._port, handle.worker_id, self._secret),
-            daemon=True,
-            name=f"repro-pool-worker-{handle.worker_id}",
+        # The child gets this process's import path (a script may have
+        # extended it) and the secret on stdin, which ``ps`` cannot see.
+        handle.process = subprocess.Popen(
+            [
+                sys.executable, "-c", WORKER_ENTRY,
+                str(self._port), str(handle.worker_id),
+            ],
+            stdin=subprocess.PIPE,
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(p or os.getcwd() for p in sys.path),
+            ),
         )
-        handle.process.start()
         try:
+            with handle.process.stdin as pipe:
+                pipe.write(self._secret.encode() + b"\n")
             reader, writer, pid = await asyncio.wait_for(
                 ready, timeout=SPAWN_TIMEOUT
             )
-        except (asyncio.TimeoutError, asyncio.CancelledError):
+        except (OSError, asyncio.TimeoutError, asyncio.CancelledError):
             self._pending.pop(handle.worker_id, None)
-            if handle.process.is_alive():
-                handle.process.terminate()
+            self._reap(handle)
             raise
         handle.reader, handle.writer, handle.pid = reader, writer, pid
         # Snapshot and watermark capture happen back-to-back with no
@@ -322,6 +333,21 @@ class WorkerPool:
             handle,
             {"kind": "bootstrap", "databases": databases, "config": self._config},
         )
+
+    def _reap(self, handle: WorkerHandle) -> None:
+        """Terminate the worker's process if it still runs and wait for
+        it (kill at the bound), so a dead worker is never left a zombie
+        and a live one never an orphan."""
+        process, handle.process = handle.process, None
+        if process is None:
+            return
+        if process.poll() is None:
+            process.terminate()
+        try:
+            process.wait(timeout=REAP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
 
     def _hosted(self, worker_id: int) -> list[str]:
         """Database names this worker serves (as primary or replica)."""
@@ -550,9 +576,7 @@ class WorkerPool:
         """
         self.worker_failures += 1
         await self._close_transport(handle)
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(timeout=5.0)
+        self._reap(handle)
         delay = 0.2
         while not self._stopping:
             try:

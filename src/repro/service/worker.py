@@ -42,8 +42,12 @@ import pickle
 import signal
 import socket
 import struct
+import sys
 import time
 from collections import OrderedDict
+
+from repro.service.host import DatabaseHost, _map_exception
+from repro.service.prepared import PreparedStatement, shape_from_wire
 
 #: Frame header: one unsigned 32-bit big-endian payload length.
 FRAME_HEADER = struct.Struct("!I")
@@ -108,11 +112,6 @@ class WorkerState:
     engines (built lazily, kept warm), and the local statement store."""
 
     def __init__(self, databases: dict, config: dict) -> None:
-        # Imported here, not at module level: repro.service.server
-        # imports the pool, which imports this module, and the child
-        # process only needs these after the bootstrap frame anyway.
-        from repro.service.server import DatabaseHost
-
         self.hosts = {
             name: DatabaseHost(
                 name,
@@ -139,8 +138,6 @@ class WorkerState:
         return host
 
     def _statement(self, db: str, frame: dict):
-        from repro.service.prepared import PreparedStatement, shape_from_wire
-
         store = self.statements[db]
         statement_id = frame["statement"]
         statement = store.get(statement_id)
@@ -157,8 +154,6 @@ class WorkerState:
 
     def handle(self, frame: dict) -> dict:
         """Dispatch one request frame to its handler; never raises."""
-        from repro.service.server import _map_exception
-
         kind = frame.get("kind")
         try:
             if kind == "exec":
@@ -189,8 +184,6 @@ class WorkerState:
         }
 
     def _handle_delta(self, frame: dict) -> dict:
-        from repro.service.server import _map_exception
-
         host = self._host(frame["db"])
         inserted, deleted, error = apply_catalog_delta(
             host.database, frame["relation"], frame["insert"], frame["delete"]
@@ -249,11 +242,20 @@ def worker_main(host: str, port: int, worker_id: int, secret: str) -> None:
             pass
 
 
+def main() -> None:
+    """What a worker process runs (``repro.service.pool.WORKER_ENTRY``):
+    the parent's port and this worker's id on argv, the handshake secret
+    as the one line on stdin."""
+    port, worker_id = map(int, sys.argv[1:3])
+    worker_main("127.0.0.1", port, worker_id, sys.stdin.readline().strip())
+
+
 __all__ = [
     "FRAME_HEADER",
     "MAX_FRAME_BYTES",
     "WorkerState",
     "apply_catalog_delta",
+    "main",
     "recv_frame",
     "send_frame",
     "worker_main",

@@ -9,8 +9,7 @@ artifacts a user can generate for *their* queries.
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.core.join_graph import Graph
 from repro.core.query import ConjunctiveQuery
 from repro.core.tree_decomposition import TreeDecomposition
 from repro.plans import Plan, Project, Scan, Semijoin, children
@@ -98,7 +97,7 @@ def decomposition_to_dot(
     return "\n".join(lines)
 
 
-def graph_to_dot(graph: nx.Graph, title: str = "graph") -> str:
+def graph_to_dot(graph: Graph, title: str = "graph") -> str:
     """DOT rendering of any undirected graph (workload families)."""
     lines = [f"graph {_quote(title)} {{"]
     for node in sorted(graph.nodes, key=str):

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.buckets import bucket_elimination_plan, mcs_bucket_order
-from repro.core.join_graph import join_graph
+from repro.core.join_graph import is_connected, join_graph
 from repro.core.ordering import induced_width
 from repro.core.query import ConjunctiveQuery
 from repro.core.treewidth import treewidth_exact, treewidth_exact_order
@@ -52,11 +52,9 @@ def test_optimal_order_achieves_treewidth(pair):
 def test_no_order_beats_treewidth_on_connected_queries(pair):
     """For connected join graphs the process width of *any* numbering is
     at least the treewidth (sampled over a few numberings)."""
-    import networkx as nx
-
     _, query = pair
     graph = join_graph(query)
-    if not nx.is_connected(graph):
+    if not is_connected(graph):
         return
     tw = treewidth_exact(graph)
     rng = random.Random(0)
@@ -74,9 +72,7 @@ def test_mcs_never_beats_exact(pair):
     tw = treewidth_exact(graph)
     order = mcs_bucket_order(query)
     bucket = bucket_elimination_plan(query, order=order)
-    import networkx as nx
-
-    if nx.is_connected(graph):
+    if is_connected(graph):
         assert bucket.induced_width >= tw
 
 

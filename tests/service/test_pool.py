@@ -14,9 +14,14 @@ import asyncio
 import os
 import random
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -27,14 +32,22 @@ from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import evaluate
 from repro.relalg.relation import Relation
 from repro.service import QueryService, ServiceClient, ServiceConfig, ServiceError
+from repro.service import pool as pool_module
 from repro.service.client import ServiceRetryableError
-from repro.service.pool import WorkerHandle, choose_reader, plan_assignments
+from repro.service.pool import (
+    WORKER_ENTRY,
+    WorkerHandle,
+    WorkerPool,
+    choose_reader,
+    plan_assignments,
+)
 from repro.service.prepared import (
     PreparedStatement,
     canonicalize_query,
     shape_from_wire,
     shape_to_wire,
 )
+from repro.service.worker import recv_frame, send_frame
 
 SLOW_RULE = "q(X) :- dense(X, Y), dense(Y, Z), dense(Z, X)."
 
@@ -533,3 +546,221 @@ class TestClientReconnect:
             with pytest.raises(ServiceError) as exc:
                 client.query(session, "nonsense")
             assert not isinstance(exc.value, ServiceRetryableError)
+
+
+# ----------------------------------------------------------------------
+# The processes themselves
+# ----------------------------------------------------------------------
+SRC = str(Path(pool_module.__file__).resolve().parents[2])
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads the process table from /proc"
+)
+
+
+def children_of(parent: int) -> dict[int, tuple[str, str]]:
+    """``{pid: (state, command line)}`` of ``parent``'s child processes."""
+    out = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                # The command name may hold spaces; fields follow its ")".
+                state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue
+        if int(ppid) == parent:
+            out[int(entry)] = (state, command)
+    return out
+
+
+def wait_until(condition, seconds: float = 30.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.05)
+    return condition()
+
+
+@needs_proc
+class TestProcessTree:
+    def test_children_are_the_workers_and_none_outlives_the_server(self):
+        """A ``--workers 2`` server is three processes and nothing else —
+        no launcher, no tracker; a crashed worker is reaped, not left a
+        zombie; after the server stops none of them is left."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        seen = {server.pid}
+        try:
+            line = server.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
+            first = children_of(server.pid)
+            seen.update(first)
+            assert len(first) == 2
+            assert all(WORKER_ENTRY in command for _, command in first.values())
+
+            with ServiceClient("127.0.0.1", port) as client:
+                session = client.open_session()
+                stats = client.stats_snapshot()["pool"]["workers"]
+                assert {int(w["pid"]) for w in stats.values()} == set(first)
+                victim = int(stats["0"]["pid"])
+                os.kill(victim, signal.SIGKILL)
+
+                def answered():
+                    try:
+                        return client.query(session, "q(X) :- edge(1, X).")["rows"]
+                    except ServiceRetryableError:
+                        return None
+
+                assert wait_until(answered, 60.0), "worker never respawned"
+                # The dead worker's entry leaves the table once it is
+                # waited for; its replacement makes two again.
+                assert wait_until(
+                    lambda: victim not in children_of(server.pid)
+                    and len(children_of(server.pid)) == 2
+                )
+                second = children_of(server.pid)
+                seen.update(second)
+                assert all(state != "Z" for state, _ in second.values())
+
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+            assert wait_until(
+                lambda: not any(os.path.exists(f"/proc/{pid}") for pid in seen)
+            ), "a process outlived the server"
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+
+    def test_in_process_server_has_exactly_its_workers(self, live):
+        before = set(children_of(os.getpid()))
+        server = live(workers=2, replicas=1)
+        workers = set(children_of(os.getpid())) - before
+        with server.client() as client:
+            stats = client.stats_snapshot()["pool"]["workers"]
+        assert workers == {int(w["pid"]) for w in stats.values()}
+        asyncio.run_coroutine_threadsafe(
+            server.service.stop(), server.loop
+        ).result(60)
+        assert not set(children_of(os.getpid())) & workers  # waited for, all
+
+    def test_the_secret_is_in_neither_argv_nor_environment(self, live):
+        server = live(workers=1)
+        secret = server.service._pool._secret.encode()
+        assert len(secret) == 32
+        (pid,) = (h.pid for h in server.service._pool.handles)
+        for name in ("cmdline", "environ"):
+            with open(f"/proc/{pid}/{name}", "rb") as handle:
+                content = handle.read()
+            assert content and secret not in content, name
+
+
+def test_a_worker_that_never_connects_is_terminated_and_waited_for(monkeypatch):
+    started = []
+
+    def recording(*args, **kwargs):
+        started.append(subprocess.Popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(pool_module, "SPAWN_TIMEOUT", 0.5)
+    monkeypatch.setattr(pool_module, "WORKER_ENTRY", "import time; time.sleep(600)")
+    monkeypatch.setattr(
+        pool_module,
+        "subprocess",
+        types.SimpleNamespace(
+            Popen=recording,
+            PIPE=subprocess.PIPE,
+            TimeoutExpired=subprocess.TimeoutExpired,
+        ),
+    )
+    pool = WorkerPool(["default"], 1, 0, lambda worker_id: {})
+
+    async def run() -> None:
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await pool.start()
+        finally:
+            await pool.stop()
+
+    asyncio.run(run())
+    assert len(started) == 1
+    assert started[0].returncode == -signal.SIGTERM  # set by wait(), not poll()
+    assert pool.handles[0].process is None
+
+
+def test_a_running_worker_has_loaded_neither_networkx_nor_multiprocessing():
+    """Play the parent to one real worker process — handshake, bootstrap,
+    a planned and executed query, stop — and have it report what it
+    imported on the way out."""
+    report = (
+        "; import sys; print('loaded:', "
+        "[m for m in ('networkx', 'multiprocessing') if m in sys.modules])"
+    )
+    shape, values = canonicalize_query(parse_rule("q(X) :- edge(1, X), edge(X, Y)."))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(60)
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-c", WORKER_ENTRY + report,
+                str(listener.getsockname()[1]), "7",
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        try:
+            worker.stdin.write(b"not-a-secret\n")
+            worker.stdin.close()
+            connection, _ = listener.accept()
+            with connection:
+                connection.settimeout(60)
+                hello = recv_frame(connection)
+                assert hello == {
+                    "kind": "hello",
+                    "worker": 7,
+                    "secret": "not-a-secret",
+                    "pid": worker.pid,
+                }
+                send_frame(
+                    connection,
+                    {
+                        "kind": "bootstrap",
+                        "databases": {"default": edge_database()},
+                        "config": {},
+                    },
+                )
+                send_frame(
+                    connection,
+                    {
+                        "kind": "exec",
+                        "db": "default",
+                        "engine": "vectorized",
+                        "method": "bucket",
+                        "statement": 1,
+                        "shape": shape_to_wire(shape),
+                        "params": list(values),
+                    },
+                )
+                reply = recv_frame(connection)
+                assert reply["ok"] and reply["rows"] == [[2], [3]]
+                send_frame(connection, {"kind": "stop"})
+                assert recv_frame(connection) == {"ok": True, "stopped": True}
+            out = worker.stdout.read().decode()
+            assert worker.wait(timeout=30) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+            worker.stdout.close()
+    assert out.strip() == "loaded: []"

@@ -1,6 +1,5 @@
 """DOT export: well-formed output mentioning every element."""
 
-import networkx as nx
 import pytest
 
 from repro.core.planner import plan_query
@@ -76,6 +75,8 @@ class TestDecompositionDot:
 
 class TestGraphDot:
     def test_plain_graph(self):
+        # graph_to_dot is duck-typed: a networkx graph draws like ours.
+        nx = pytest.importorskip("networkx")
         graph = nx.path_graph(4)
         dot = graph_to_dot(graph, title="p4")
         assert dot.count(" -- ") == 3
