@@ -14,10 +14,11 @@ session lands on both sides.  Each checkout runs its own copy of the
 benchmark; ordinary PRs keep ``benchmarks/layers/`` byte-identical, so
 the two are the same program over different ``src/``.
 
-Prints, for every end-to-end metric of every workload run, both sides'
-medians with their quartiles, the change of the median, and in how many
-pairs this checkout read better — the table a performance claim is
-made from (a gain needs nine pairs of ten and medians further apart
+Prints, for every end-to-end metric of every workload run (with
+``--trace``: every per-layer metric that is not zero throughout), both
+sides' medians with their quartiles, the change of the median, and in
+how many pairs this checkout read better — the table a performance claim
+is made from (a gain needs nine pairs of ten and medians further apart
 than the parent's quartiles) — and then hands both sets to
 ``benchmarks/layers/compare.py`` for the verdict against the bounds of
 ``BENCHMARK.json``.  The exit code is ``compare.py``'s: 1 when any
@@ -79,15 +80,18 @@ def quartiles(values: list[float]) -> str:
     return f"{middle:.4g} [{low:.4g}, {high:.4g}]"
 
 
-def table(parent: list[Path], change: list[Path]) -> None:
-    """One row per (workload, end-to-end metric), pair by pair."""
+def table(parent: list[Path], change: list[Path], kind: str) -> None:
+    """One row per (workload, metric of ``kind``), pair by pair; ``kind``
+    is the ``BENCHMARK.json`` list the runs report: ``end_to_end``, or
+    ``per_layer`` for traced runs.  A metric that reads zero in every run
+    of both sides (a layer the workload never enters) gets no row."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec[kind]}
     documents = [
         (json.loads(a.read_text())["results"], json.loads(b.read_text())["results"])
         for a, b in zip(parent, change)
     ]
-    print(f"{'workload':14} {'metric':20} {'parent':>30} {'change':>30} "
+    print(f"{'workload':14} {'metric':34} {'parent':>30} {'change':>30} "
           f"{'median':>8}  better in")
     for workload in documents[0][0]:
         for name, direction in better.items():
@@ -97,7 +101,7 @@ def table(parent: list[Path], change: list[Path]) -> None:
                 for a, b in documents
                 if name in a[workload]["metrics"] and name in b[workload]["metrics"]
             ]
-            if not pairs:
+            if not any(value for pair in pairs for value in pair):
                 continue
             old, new = [p[0] for p in pairs], [p[1] for p in pairs]
             wins = sum(
@@ -107,7 +111,7 @@ def table(parent: list[Path], change: list[Path]) -> None:
             moved = (
                 f"{(statistics.median(new) - base) / base:+8.1%}" if base else f"{'-':>8}"
             )
-            print(f"{workload:14} {name:20} {quartiles(old):>30} "
+            print(f"{workload:14} {name:34} {quartiles(old):>30} "
                   f"{quartiles(new):>30} {moved}  {wins}/{len(pairs)}")
 
 
@@ -140,7 +144,8 @@ def main(argv=None) -> int:
                 print(f"pair {seed}/{args.pairs}: {side}", file=sys.stderr, flush=True)
                 run(trees[side], output, seed, args)
                 outputs[side].append(output)
-        table(outputs["parent"], outputs["change"])
+        table(outputs["parent"], outputs["change"],
+              "per_layer" if args.trace else "end_to_end")
         print(flush=True)
         verdict = subprocess.run(
             [sys.executable, str(ROOT / "benchmarks" / "layers" / "compare.py"),

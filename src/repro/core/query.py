@@ -13,7 +13,7 @@ but the model itself supports genuinely 0-ary results.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Union
 
 from repro.errors import QueryStructureError
@@ -44,29 +44,26 @@ class Atom:
 
     relation: str
     terms: tuple[Term, ...]
+    #: Distinct variables of the atom, in first-occurrence order; derived
+    #: from ``terms`` once, when the atom is built.
+    variables: tuple[str, ...] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if not self.relation:
             raise QueryStructureError("atom with empty relation name")
+        variables: dict[str, None] = {}
         for term in self.terms:
             if isinstance(term, str):
                 if not term:
                     raise QueryStructureError("empty variable name in atom")
+                variables[term] = None
             elif not isinstance(term, Const):
                 raise QueryStructureError(
                     f"atom term must be a variable name or Const, got {term!r}"
                 )
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """Distinct variables of the atom, in first-occurrence order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for term in self.terms:
-            if isinstance(term, str) and term not in seen:
-                seen.add(term)
-                out.append(term)
-        return tuple(out)
+        object.__setattr__(self, "variables", tuple(variables))
 
     @property
     def variable_set(self) -> frozenset[str]:

@@ -20,6 +20,8 @@ from a query (variables are capitalized on the way out if needed).
 
 from __future__ import annotations
 
+import re
+
 from repro.core.query import Atom, ConjunctiveQuery, Const, Term
 from repro.errors import SqlSyntaxError
 
@@ -32,53 +34,52 @@ class DatalogSyntaxError(SqlSyntaxError):
 # ----------------------------------------------------------------------
 # Lexer
 # ----------------------------------------------------------------------
+#: One token per match: the whitespace and ``%`` comments before it, then
+#: exactly one numbered alternative (the same scheme as
+#: :mod:`repro.sql.lexer`; number literals are ASCII digits only).
+_TOKEN = re.compile(
+    r"""\s*(?:%[^\n]*\s*)*
+    (?: ([A-Za-z_]\w*)           # 1  identifier
+      | ([(),.])                 # 2  punctuation
+      | (:-)                     # 3  implies
+      | (-?[0-9]+)               # 4  number
+      | '([^']*)' | "([^"]*)"    # 5, 6  string body
+      | (\Z)                     # 7  end of input
+      | ([^\W\d]\w*)             # 8  identifier starting outside ASCII
+      | (.)                      # 9  anything else
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "%":
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if text.startswith(":-", i):
-            tokens.append(("IMPLIES", ":-", i))
-            i += 2
-            continue
-        if ch in "(),.":
-            tokens.append(("PUNCT", ch, i))
-            i += 1
-            continue
-        if ch == "'" or ch == '"':
-            quote = ch
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 1
-            if j >= n:
-                raise DatalogSyntaxError("unterminated string literal", position=i)
-            tokens.append(("STRING", text[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("NUMBER", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise DatalogSyntaxError(f"unexpected character {ch!r}", position=i)
-    tokens.append(("EOF", None, n))
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 2:
+            append(("PUNCT", match[2], match.start(2)))
+        elif group == 1:
+            append(("IDENT", match[1], match.start(1)))
+        elif group == 3:
+            append(("IMPLIES", ":-", match.start(3)))
+        elif group == 4:
+            append(("NUMBER", int(match[4]), match.start(4)))
+        elif group == 5 or group == 6:
+            append(("STRING", match[group], match.start(group) - 1))
+        elif group == 7:
+            break
+        elif group == 8 and match[8][0].isalpha():
+            append(("IDENT", match[8], match.start(8)))
+        else:
+            # Group 8 also lands here for a non-ASCII digit or numeric such
+            # as "²": alphanumeric for ``\w``, but it cannot start a word.
+            position = match.start(group)
+            ch = text[position]
+            if ch == "'" or ch == '"':
+                raise DatalogSyntaxError("unterminated string literal", position=position)
+            raise DatalogSyntaxError(f"unexpected character {ch!r}", position=position)
+    append(("EOF", None, len(text)))
     return tokens
 
 

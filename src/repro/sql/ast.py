@@ -20,8 +20,11 @@ enough to be read side by side.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Union
+
+from repro.errors import SqlSemanticError
 
 
 @dataclass(frozen=True)
@@ -156,8 +159,14 @@ class SelectQuery:
 # Rendering
 # ----------------------------------------------------------------------
 def render(query: SelectQuery, indent: int = 0, semicolon: bool = True) -> str:
-    """Render a query to SQL text, nesting subqueries with indentation."""
-    text = _render_query(query, indent)
+    """Render a query to SQL text, nesting subqueries with indentation.
+
+    Raises :class:`~repro.errors.SqlSemanticError` for a query nested
+    beyond the interpreter's recursion limit."""
+    try:
+        text = _render_query(query, indent)
+    except RecursionError:
+        raise SqlSemanticError(too_deep(nesting_depth(query))) from None
     return text + (";" if semicolon else "")
 
 
@@ -227,6 +236,25 @@ def subquery_depth(query: SelectQuery) -> int:
     """Maximum nesting depth of subqueries (1 for a flat query).
 
     ``EXISTS`` bodies count as nested subqueries too."""
+    return _deepest_level(query, join_step=0)
+
+
+def nesting_depth(query: SelectQuery) -> int:
+    """Like :func:`subquery_depth` with every join counting as a level too:
+    how deep a recursive walk of ``query`` has to go."""
+    return _deepest_level(query, join_step=1)
+
+
+def too_deep(depth: int) -> str:
+    """The message every recursive consumer of SQL raises, with its own
+    error class, in place of a ``RecursionError``."""
+    return (
+        f"nesting depth {depth} takes more stack frames than the "
+        f"interpreter's recursion limit ({sys.getrecursionlimit()}) allows"
+    )
+
+
+def _deepest_level(query: SelectQuery, join_step: int) -> int:
     depth = 1
     queries: list[tuple[SelectQuery, int]] = [(query, 1)]
     while queries:
@@ -237,11 +265,12 @@ def subquery_depth(query: SelectQuery) -> int:
         stack: list[tuple[FromItem, int]] = [(item, level) for item in current.from_items]
         while stack:
             item, item_level = stack.pop()
+            depth = max(depth, item_level)
             if isinstance(item, SubqueryRef):
                 queries.append((item.query, item_level + 1))
             elif isinstance(item, JoinExpr):
-                stack.append((item.left, item_level))
-                stack.append((item.right, item_level))
+                stack.append((item.left, item_level + join_step))
+                stack.append((item.right, item_level + join_step))
                 for ex in item.condition.exists:
                     queries.append((ex.query, item_level + 1))
     return depth

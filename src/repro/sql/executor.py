@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from repro.errors import SqlSemanticError
 from repro.relalg.database import Database
-from repro.relalg.relation import Relation, Row
+from repro.relalg.relation import Relation, _key_getter
 from repro.relalg.stats import ExecutionStats
 from repro.sql.ast import (
     ColumnRef,
@@ -32,6 +32,8 @@ from repro.sql.ast import (
     SelectQuery,
     SubqueryRef,
     TableRef,
+    nesting_depth,
+    too_deep,
 )
 
 
@@ -55,9 +57,15 @@ def execute(
         Optional permutation of the *top-level* comma-separated ``FROM``
         items — this is how the planner simulator's chosen join order is
         executed for naive-form queries.
+
+    Raises :class:`~repro.errors.SqlSemanticError` for a query nested
+    beyond the interpreter's recursion limit, among other things.
     """
     stats = stats if stats is not None else ExecutionStats()
-    return _Executor(database, stats).run(query, from_order)
+    try:
+        return _Executor(database, stats).run(query, from_order)
+    except RecursionError:
+        raise SqlSemanticError(too_deep(nesting_depth(query))) from None
 
 
 def execute_with_stats(
@@ -89,18 +97,7 @@ class _Executor:
             items = [items[i] for i in from_order]
         _check_alias_uniqueness(query)
 
-        current: Relation | None = None
-        pending = list(query.where.equalities)
-        for item in items:
-            relation = self._eval_from_item(item)
-            if current is None:
-                current = relation
-            else:
-                current = self._merge(current, relation, pending_only=False, pairs=())
-                # `pending_only=False, pairs=()` performs a cross product;
-                # applicable WHERE equalities are applied just below.
-            current, pending = self._apply_pending(current, pending)
-        assert current is not None  # grammar guarantees >= 1 FROM item
+        current, pending = self._fold_from(items, query.where.equalities)
         if pending:
             dangling = ", ".join(str(eq) for eq in pending)
             raise SqlSemanticError(f"WHERE references unknown columns: {dangling}")
@@ -145,63 +142,77 @@ class _Executor:
             left = _apply_filter(left, column, other)
         for column, other in right_filters:
             right = _apply_filter(right, column, other)
-        result = self._merge(left, right, pending_only=False, pairs=pairs)
-        return result
+        return self._merge(left, right, pairs)
 
     # ------------------------------------------------------------------
     def _merge(
-        self,
-        left: Relation,
-        right: Relation,
-        pending_only: bool,
-        pairs: tuple[tuple[str, str], ...],
+        self, left: Relation, right: Relation, pairs: tuple[tuple[str, str], ...]
     ) -> Relation:
         """Equijoin ``left`` and ``right`` on the given column pairs
         (cross product when there are none), keeping every column of both
         sides — SQL join semantics."""
-        overlap = set(left.columns) & set(right.columns)
+        overlap = set(left.columns).intersection(right.columns)
         if overlap:
             raise SqlSemanticError(
                 f"duplicate qualified columns across join: {sorted(overlap)}"
             )
-        out_header = left.columns + right.columns
+        # Two valid headers with no name in common concatenate to a valid one.
+        header = left.columns + right.columns
         if not pairs:
-            rows = {l + r for l in left.rows for r in right.rows}
+            rows = frozenset(l + r for l in left.rows for r in right.rows)
         else:
-            left_key = [left.column_index(a) for a, _ in pairs]
-            right_key = [right.column_index(b) for _, b in pairs]
-            index: dict[Row, list[Row]] = {}
-            for row in right.rows:
-                index.setdefault(tuple(row[i] for i in right_key), []).append(row)
-            rows = set()
-            for lrow in left.rows:
-                key = tuple(lrow[i] for i in left_key)
-                for rrow in index.get(key, ()):
-                    rows.add(lrow + rrow)
-        result = Relation(out_header, rows)
+            key_of = _key_getter([left.column_index(a) for a, _ in pairs])
+            matches = right._key_index(tuple(b for _, b in pairs)).get
+            rows = frozenset(
+                lrow + rrow for lrow in left.rows for rrow in matches(key_of(lrow), ())
+            )
+        result = Relation._from_trusted(header, rows)
         self._stats.record_join(left.cardinality, right.cardinality, result.cardinality)
         self._stats.record_output(result.cardinality, result.arity)
         return result
 
-    def _apply_pending(
-        self, current: Relation, pending: list[Equality]
+    def _fold_from(
+        self, items: Sequence[FromItem], equalities: Sequence[Equality]
     ) -> tuple[Relation, list[Equality]]:
-        """Apply every pending WHERE equality whose columns are all in
-        scope; return the filtered relation and the still-pending rest."""
-        available = set(current.columns)
-        still_pending: list[Equality] = []
-        for equality in pending:
-            refs = [
+        """Fold a comma-list ``FROM`` left to right by cross product,
+        applying each ``WHERE`` equality, in listed order, as soon as every
+        column it names is in scope; returns the relation and the
+        equalities whose columns never were.
+
+        Equalities are indexed by the columns they wait for, so an item
+        looks only at the ones that name one of its own columns."""
+        names = [
+            [
                 f"{op.table}.{op.column}"
                 for op in (equality.left, equality.right)
                 if isinstance(op, ColumnRef)
             ]
-            if all(ref in available for ref in refs):
-                current = _apply_equality(current, equality)
+            for equality in equalities
+        ]
+        waiting: dict[str, list[int]] = {}
+        for number, columns in enumerate(names):
+            for column in columns:
+                waiting.setdefault(column, []).append(number)
+        applied: set[int] = set()
+        in_scope: set[str] = set()
+        current: Relation | None = None
+        for item in items:
+            relation = self._eval_from_item(item)
+            # No equijoin pairs: a cross product, filtered just below.
+            current = relation if current is None else self._merge(current, relation, ())
+            in_scope.update(relation.columns)
+            ready = {
+                number
+                for column in relation.columns
+                for number in waiting.get(column, ())
+                if in_scope.issuperset(names[number])
+            }
+            for number in sorted(ready):
+                current = _apply_equality(current, equalities[number])
                 self._stats.record_output(current.cardinality, current.arity)
-            else:
-                still_pending.append(equality)
-        return current, still_pending
+            applied |= ready
+        assert current is not None  # grammar guarantees >= 1 FROM item
+        return current, [eq for n, eq in enumerate(equalities) if n not in applied]
 
     # ------------------------------------------------------------------
     def _semijoin_exists(self, outer: Relation, exists: Exists) -> Relation:
@@ -215,16 +226,7 @@ class _Executor:
         """
         query = exists.query
         _check_alias_uniqueness(query)
-        inner: Relation | None = None
-        pending = list(query.where.equalities)
-        for item in query.from_items:
-            relation = self._eval_from_item(item)
-            if inner is None:
-                inner = relation
-            else:
-                inner = self._merge(inner, relation, pending_only=False, pairs=())
-            inner, pending = self._apply_pending(inner, pending)
-        assert inner is not None  # grammar guarantees >= 1 FROM item
+        inner, pending = self._fold_from(query.from_items, query.where.equalities)
         for nested in query.where.exists:
             inner = self._semijoin_exists(inner, nested)
         # Whatever is still pending must correlate with the enclosing
@@ -381,19 +383,17 @@ def _apply_equality(relation: Relation, equality: Equality) -> Relation:
 
 def _check_alias_uniqueness(query: SelectQuery) -> None:
     """Reject duplicate aliases within one FROM scope."""
-    aliases: list[str] = []
-
-    def collect(item: FromItem) -> None:
-        if isinstance(item, TableRef):
-            aliases.append(item.alias)
-        elif isinstance(item, SubqueryRef):
-            aliases.append(item.alias)
+    seen: set[str] = set()
+    duplicates: set[str] = set()
+    stack = list(query.from_items)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, JoinExpr):
+            stack.append(item.left)
+            stack.append(item.right)
+        elif item.alias in seen:
+            duplicates.add(item.alias)
         else:
-            collect(item.left)
-            collect(item.right)
-
-    for item in query.from_items:
-        collect(item)
-    duplicates = {alias for alias in aliases if aliases.count(alias) > 1}
+            seen.add(item.alias)
     if duplicates:
         raise SqlSemanticError(f"duplicate aliases in FROM: {sorted(duplicates)}")

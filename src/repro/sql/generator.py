@@ -29,7 +29,7 @@ from repro.core.early_projection import early_projection_plan, straightforward_p
 from repro.core.query import ConjunctiveQuery
 from repro.core.reordering import reordering_plan
 from repro.errors import SqlSemanticError
-from repro.plans import Join, Plan, Project, Scan, Semijoin
+from repro.plans import Join, Plan, Project, Scan, Semijoin, children
 from repro.sql.ast import (
     ColumnRef,
     Condition,
@@ -42,6 +42,7 @@ from repro.sql.ast import (
     SubqueryRef,
     TableRef,
     render,
+    too_deep,
 )
 
 #: SQL-generation methods in the order the paper introduces them.
@@ -183,7 +184,9 @@ def plan_to_sql(plan: Plan, query: ConjunctiveQuery | None = None) -> SelectQuer
 
     The plan's root must produce at least one column (SQL cannot select
     nothing; the paper emulates Boolean queries with a single selected
-    variable, and so do the workload generators).
+    variable, and so do the workload generators), and must not nest beyond
+    the interpreter's recursion limit: both raise
+    :class:`~repro.errors.SqlSemanticError`.
     """
     if not plan.columns:
         raise SqlSemanticError(
@@ -193,7 +196,20 @@ def plan_to_sql(plan: Plan, query: ConjunctiveQuery | None = None) -> SelectQuer
     aliases = _Aliases(query)
     if not isinstance(plan, Project):
         plan = Project(plan, plan.columns)
-    return _render_select(plan, aliases)
+    try:
+        return _render_select(plan, aliases)
+    except RecursionError:
+        raise SqlSemanticError(too_deep(_plan_depth(plan))) from None
+
+
+def _plan_depth(plan: Plan) -> int:
+    depth = 0
+    stack = [(plan, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return depth
 
 
 def _render_select(node: Project, aliases: _Aliases) -> SelectQuery:
@@ -311,18 +327,15 @@ def _fold_units(units: list[_Unit]) -> FromItem:
     wraps around the outside, its ON clause equating every variable it
     shares with the earlier operands (``TRUE`` when none)."""
     expr: FromItem = units[0].item
+    first_provider = dict.fromkeys(units[0].exposes, units[0])
     for index in range(1, len(units)):
         unit = units[index]
         equalities = list(unit.self_conditions)
         if index == 1:
             equalities.extend(units[0].self_conditions)
-        seen_before = units[:index]
         for variable in sorted(unit.exposes):
-            provider = next(
-                (earlier for earlier in seen_before if variable in earlier.exposes),
-                None,
-            )
-            if provider is not None:
+            provider = first_provider.setdefault(variable, unit)
+            if provider is not unit:
                 equalities.append(Equality(unit.ref(variable), provider.ref(variable)))
         expr = JoinExpr(left=unit.item, right=expr, condition=Condition(tuple(equalities)))
     return expr

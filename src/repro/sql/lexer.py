@@ -1,14 +1,16 @@
 """Tokenizer for the SQL subset.
 
-Produces a flat list of :class:`Token`; the parser consumes them with
-one-token lookahead.  Keywords are case-insensitive, identifiers keep
-their case.  Comments (``-- ...``) are skipped so generated SQL can be
-annotated in examples.
+One compiled regular expression finds every token; :func:`scan` returns
+them as a flat list of plain tuples, which the parser walks by index
+with one-token lookahead, and :func:`tokenize` as :class:`Token`.
+Keywords are case-insensitive, identifiers keep their case.  Comments
+(``-- ...``) are skipped so generated SQL can be annotated in examples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Any, NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -30,8 +32,7 @@ KEYWORDS = frozenset(
 PUNCTUATION = frozenset({"(", ")", ",", ".", "=", ";"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is ``KEYWORD``, ``IDENT``, ``NUMBER``, ``STRING``, ``PUNCT``,
@@ -40,80 +41,62 @@ class Token:
     """
 
     kind: str
-    value: object
+    value: Any
     position: int
 
+
+#: One token per match: the whitespace and comments before it, then exactly
+#: one numbered alternative.  ``\w`` is ``str.isalnum`` plus ``_`` and
+#: ``\s`` is ``str.isspace``; number literals are ASCII digits only, so
+#: any other digit character is an error, never an ``int()`` failure.
+_TOKEN = re.compile(
+    r"""\s*(?:--[^\n]*\s*)*
+    (?: ([A-Za-z_]\w*)           # 1  keyword or identifier
+      | ([(),.=;])               # 2  punctuation
+      | (-?[0-9]+)               # 3  number
+      | '((?:[^']|'')*)'(?!')    # 4  string body; '' is an escaped quote
+      | (\Z)                     # 5  end of input
+      | ([^\W\d]\w*)             # 6  word starting outside ASCII
+      | (.)                      # 7  anything else
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`~repro.errors.SqlSyntaxError` with
     the offending position on bad input."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch in PUNCTUATION:
-            tokens.append(Token("PUNCT", ch, i))
-            i += 1
-            continue
-        if ch == "'":
-            i = _lex_string(text, i, tokens)
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            i = _lex_number(text, i, tokens)
-            continue
-        if ch.isalpha() or ch == "_":
-            i = _lex_word(text, i, tokens)
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", position=i)
-    tokens.append(Token("EOF", None, n))
+    return list(map(Token._make, scan(text)))
+
+
+def scan(text: str) -> list[tuple[str, Any, int]]:
+    """:func:`tokenize` as plain ``(kind, value, position)`` tuples — what
+    the parser walks, since a bare tuple is the cheapest token to build."""
+    tokens: list[tuple[str, Any, int]] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 2:
+            append(("PUNCT", match[2], match.start(2)))
+        elif group == 1 or (group == 6 and match[6][0].isalpha()):
+            word = match[group]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                append(("KEYWORD", upper, match.start(group)))
+            else:
+                append(("IDENT", word, match.start(group)))
+        elif group == 3:
+            append(("NUMBER", int(match[3]), match.start(3)))
+        elif group == 4:
+            append(("STRING", match[4].replace("''", "'"), match.start(4) - 1))
+        elif group == 5:
+            break
+        else:
+            # Group 6 also lands here for a non-ASCII digit or numeric such
+            # as "²": alphanumeric for ``\w``, but it cannot start a word.
+            position = match.start(group)
+            ch = text[position]
+            if ch == "'":
+                raise SqlSyntaxError("unterminated string literal", position=position)
+            raise SqlSyntaxError(f"unexpected character {ch!r}", position=position)
+    append(("EOF", None, len(text)))
     return tokens
-
-
-def _lex_string(text: str, start: int, tokens: list[Token]) -> int:
-    """Single-quoted string with ``''`` escaping."""
-    i = start + 1
-    pieces: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                pieces.append("'")
-                i += 2
-                continue
-            tokens.append(Token("STRING", "".join(pieces), start))
-            return i + 1
-        pieces.append(ch)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", position=start)
-
-
-def _lex_number(text: str, start: int, tokens: list[Token]) -> int:
-    i = start
-    if text[i] == "-":
-        i += 1
-    while i < len(text) and text[i].isdigit():
-        i += 1
-    tokens.append(Token("NUMBER", int(text[start:i]), start))
-    return i
-
-
-def _lex_word(text: str, start: int, tokens: list[Token]) -> int:
-    i = start
-    while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    word = text[start:i]
-    upper = word.upper()
-    if upper in KEYWORDS:
-        tokens.append(Token("KEYWORD", upper, start))
-    else:
-        tokens.append(Token("IDENT", word, start))
-    return i

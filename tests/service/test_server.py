@@ -173,6 +173,16 @@ class TestQueries:
                 client.query(session, "this is not datalog")
             assert exc.value.code == "query_error"
 
+    def test_non_ascii_digit_is_a_query_error_not_a_bad_request(self, live):
+        """It used to reach ``int()`` and come back as ``bad_request:
+        invalid literal for int()``."""
+        with live().client() as client:
+            session = client.open_session()
+            with pytest.raises(ServiceError) as exc:
+                client.query(session, "q(X) :- edge(X, 1\u00b2).")
+            assert exc.value.code == "query_error"
+            assert "unexpected character '\u00b2'" in exc.value.message
+
     def test_unknown_relation(self, live):
         with live().client() as client:
             session = client.open_session()

@@ -75,3 +75,41 @@ def test_underscore_identifiers():
 
 def test_qualified_ref_token_stream():
     assert kinds("e1.v2")[:-1] == ["IDENT", "PUNCT", "IDENT"]
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("SELECT a.b FROM r a (b) WHERE a.b = \u00b2", 36),
+        ("a.b = 1\u00b2", 7),
+        ("a.b = \u0663", 6),
+        ("a.b = -\u0663", 6),
+        ("\u00bd", 0),
+    ],
+)
+def test_non_ascii_digit_is_a_positioned_syntax_error(text, position):
+    """Number literals are ASCII digits; any other digit or numeric
+    character is an unexpected character, not a bare ``ValueError`` from
+    ``int()``."""
+    with pytest.raises(SqlSyntaxError, match="unexpected character") as excinfo:
+        tokenize(text)
+    assert excinfo.value.position == position
+
+
+def test_non_ascii_digit_inside_a_word_is_part_of_the_identifier():
+    assert [tuple(t) for t in tokenize("v\u00b2")] == [
+        ("IDENT", "v\u00b2", 0),
+        ("EOF", None, 2),
+    ]
+
+
+def test_non_ascii_letters_start_identifiers_and_spell_keywords():
+    assert tokenize("\u00e9t\u00e9")[0] == ("IDENT", "\u00e9t\u00e9", 0)
+    # str.upper() maps the long s to "S", and so did the old scanner.
+    assert tokenize("\u017felect")[0] == ("KEYWORD", "SELECT", 0)
+
+
+def test_unterminated_string_position_is_its_opening_quote():
+    with pytest.raises(SqlSyntaxError, match="unterminated") as excinfo:
+        tokenize("a.b = 'it''s")
+    assert excinfo.value.position == 6

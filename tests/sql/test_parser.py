@@ -144,6 +144,64 @@ class TestErrors:
         with pytest.raises(SqlSyntaxError):
             parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("", "expected SELECT, got None", 0),
+            ("SELECT FROM r e1 (a)", "expected identifier, got 'FROM'", 7),
+            ("SELECT e1.a", "expected FROM, got None", 11),
+            ("SELECT e1 FROM r e1 (a)", "expected '.', got 'FROM'", 10),
+            ("SELECT e1.a FROM r e1", "expected '(', got None", 21),
+            ("SELECT e1.a FROM r e1 (a,)", "expected identifier, got ')'", 25),
+            ("SELECT e1.a FROM r e1 (a b)", "expected ')', got 'b'", 25),
+            ("SELECT e1.a FROM r e1 (a) WHERE", "expected identifier, got None", 31),
+            ("SELECT e1.a FROM r e1 (a) WHERE e1.a 3", "expected '=', got 3", 37),
+            ("SELECT e1.a FROM r e1 (a) extra", "unexpected trailing input 'extra'", 26),
+            ("SELECT e1.a FROM r e1 (a); SELECT", "unexpected trailing input 'SELECT'", 27),
+            ("SELECT e1.a FROM (SELECT e1.a FROM r e1 (a))", "expected AS, got None", 44),
+            (
+                "SELECT e1.a FROM (SELECT e1.a FROM r e1 (a);) AS t",
+                "subquery must not end with ';'",
+                43,
+            ),
+            ("SELECT e1.a FROM r e1 (a) JOIN r e2 (a)", "expected ON, got None", 39),
+            (
+                "SELECT e1.a FROM r e1 (a) JOIN r e2 (b) ON e2.b = e1.a",
+                "expected '(', got 'e2'",
+                43,
+            ),
+            (
+                "SELECT e1.a FROM (r e1 (a) JOIN r e2 (b) ON (TRUE)",
+                "expected ')', got None",
+                50,
+            ),
+            (
+                "SELECT e1.a FROM r e1 (a) WHERE EXISTS SELECT",
+                "expected '(', got 'SELECT'",
+                39,
+            ),
+            (
+                "SELECT e1.a FROM r e1 (a) WHERE EXISTS (SELECT e2.b FROM r e2 (b);)",
+                "EXISTS subquery must not end with ';'",
+                65,
+            ),
+            # A string spelling a keyword or a punctuation mark is a string.
+            (
+                "SELECT e1.a FROM r e1 (a) WHERE e1.a = 'SELECT' AND 'x'.a = 1",
+                "expected '=', got '.'",
+                55,
+            ),
+            # Not an ASCII digit: the scanner's error, not int()'s.
+            ("SELECT e1.a FROM r e1 (a) WHERE e1.a = \u00b2", "unexpected character '\u00b2'", 39),
+        ],
+    )
+    def test_message_and_position(self, bad, message, position):
+        """Every way the grammar can fail, with the text and position the
+        token-object parser reported before the index-walking one."""
+        with pytest.raises(SqlSyntaxError) as excinfo:
+            parse(bad)
+        assert (str(excinfo.value), excinfo.value.position) == (message, position)
+
     def test_without_distinct(self):
         query = parse("SELECT e1.a FROM r e1 (a)")
         assert not query.distinct

@@ -84,6 +84,22 @@ class TestErrors:
             parse_rule("q(X) :- r(X) ??")
         assert excinfo.value.position is not None
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("q(X) :- e(X, 1\u00b2).", 14),   # superscript two after a number
+            ("q(X) :- e(X, \u00b2).", 13),    # ... and on its own
+            ("q(X) :- e(X, \u0663).", 13),    # Arabic-Indic three
+            ("q(X) :- e(X, -\u0663).", 13),   # the minus is what cannot start a token
+        ],
+    )
+    def test_non_ascii_digit_is_a_positioned_syntax_error(self, text, position):
+        """Number literals are ASCII digits; any other digit character is
+        an unexpected character, not a bare ``ValueError`` from ``int()``."""
+        with pytest.raises(DatalogSyntaxError, match="unexpected character") as excinfo:
+            parse_rule(text)
+        assert excinfo.value.position == position
+
 
 class TestRender:
     def test_round_trip_simple(self):
