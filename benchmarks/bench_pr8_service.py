@@ -559,11 +559,7 @@ async def run_benchmark(args) -> dict:
 
     service = QueryService(
         {"bench": build_database(args.seed)},
-        ServiceConfig(
-            port=0,
-            queue_limit=args.queue_limit,
-            batch_max=args.batch_max,
-        ),
+        ServiceConfig(port=0, queue_limit=args.queue_limit),
     )
     await service.start()
     try:
@@ -697,7 +693,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mix-fig", type=float, default=0.25)
     parser.add_argument("--mix-update", type=float, default=0.10)
     parser.add_argument("--queue-limit", type=int, default=512)
-    parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
         "--output", help="write the JSON document here (default: stdout)"

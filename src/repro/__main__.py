@@ -142,10 +142,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="default queue-wait deadline in seconds (0 disables waiting)",
     )
     serve_cmd.add_argument(
-        "--batch-max", type=int, default=16,
-        help="max requests the worker drains from the queue per batch",
-    )
-    serve_cmd.add_argument(
         "--max-sessions", type=int, default=1024, help="open-session limit"
     )
     serve_cmd.add_argument(
@@ -163,7 +159,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--workers", type=int, default=0,
         help="worker processes for the multi-process pool backend "
-        "(0 = legacy in-process execution)",
+        "(0 = one executor thread in the server process)",
     )
     serve_cmd.add_argument(
         "--replicas", type=int, default=1,
@@ -327,7 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_limit=args.queue_limit,
         request_timeout=args.request_timeout,
-        batch_max=args.batch_max,
         max_sessions=args.max_sessions,
         prepared_cache_size=args.prepared_cache_size,
         default_engine=args.default_engine,

@@ -15,14 +15,15 @@ sustained concurrent traffic (the ROADMAP's north star).  It provides:
   requests that differ only in constants share one plan and one set of
   compiled units, and re-binding invalidates only the param-dependent
   entries (PR 7's selective retention doing the work);
-- a bounded admission queue with request batching and per-request
-  queue-wait timeouts;
+- one execution path for every engine op: a frame to an executor
+  (:class:`~repro.service.worker.WorkerState`) through a bounded queue
+  and one pump per executor, with per-request queue-wait timeouts;
 - a multi-process worker pool backend (:mod:`repro.service.pool` /
   :mod:`repro.service.worker`): database-affinity sharding across N
   worker processes, primary/replica read routing with read-your-writes
   gating, cross-process reuse of canonical query shapes, and crash
   detection with respawn-from-snapshot (``ServiceConfig.workers``;
-  ``0`` keeps the legacy in-process executor);
+  ``0`` runs the executor on one thread of the server process);
 - :class:`ServiceStats` (:mod:`repro.service.stats`): per-operation
   latency percentiles, shape-cache and engine-cache hit rates, queue
   depth, per-method planning telemetry, and — in pool mode — per-worker

@@ -1,6 +1,7 @@
-"""Per-database execution state (catalog, engines, statement cache) and
-the mapping from library exceptions to wire error codes: what the front
-end and a pool worker both run, importing neither server nor pool.
+"""Per-database execution state (catalog, engines, statement registry),
+the one delta-application routine, and the mapping from library
+exceptions to wire error codes: what the front end and a pool worker
+both run, importing neither server nor pool.
 """
 
 from __future__ import annotations
@@ -43,12 +44,38 @@ def _map_exception(exc: Exception) -> tuple[str, str]:
     return "internal", f"{type(exc).__name__}: {exc}"
 
 
+def apply_catalog_delta(database, relation: str, insert, delete):
+    """Apply one row-level delta; returns ``(inserted, deleted, error)``.
+
+    The insert half runs before the delete half, and each half is
+    atomic (the catalog validates before mutating), so the result —
+    including the partial state left behind when the delete half fails
+    after a successful insert — is a pure function of (catalog state,
+    delta).  Primary, replicas, and the front end's mirror all call this
+    one function, which is what keeps every copy identical without a
+    consensus protocol.
+    """
+    inserted = deleted = 0
+    error = None
+    try:
+        if insert:
+            inserted = database.insert_rows(relation, insert)
+        if delete:
+            deleted = database.delete_rows(relation, delete)
+    except Exception as exc:  # surfaced by the primary, swallowed by replicas
+        error = exc
+    return inserted, deleted, error
+
+
 class DatabaseHost:
     """Server-side state for one named database.
 
-    All methods that touch the catalog or an engine are called only from
-    the service's single executor thread (or from single-threaded test
-    code); they are deliberately synchronous and lock-free.
+    The statement registry (``prepared``) is read and written by the
+    front end on its event loop and never plans.  Everything that plans,
+    binds, executes or touches the catalog runs on the one executor that
+    serves this database — the service's executor thread, or a pool
+    worker process (or single-threaded test code) — so it is synchronous
+    and lock-free.
     """
 
     def __init__(
@@ -76,23 +103,35 @@ class DatabaseHost:
             self._engines[engine_name] = engine
         return engine
 
-    def prepare(
-        self, query: ConjunctiveQuery, method: str
-    ) -> tuple[PreparedStatement, tuple, bool]:
-        """Prepare (or fetch) the statement for ``query``'s shape.
-
-        Statements the LRU evicts to make room are unbound here, on the
-        thread that binds (the worker process does the same for its own
-        store): emptying their ``__param`` relations bumps those
-        relations' versions, so every engine drops the units and cached
-        results that scanned them at its next execution.  On the pool
-        front end's mirror nothing was ever bound and this is a no-op.
-        """
+    def register(self, query: ConjunctiveQuery, method: str):
+        """Find or assign the statement id of ``query``'s shape without
+        planning it; returns the registry's ``(statement, values, hit,
+        evicted)``."""
         statement, values, hit, evicted = self.prepared.prepare(query, method)
         if not hit:
             self.method_plans[method] = self.method_plans.get(method, 0) + 1
+        return statement, values, hit, evicted
+
+    def prepare(
+        self, query: ConjunctiveQuery, method: str
+    ) -> tuple[PreparedStatement, tuple, bool]:
+        """Prepare (or fetch) and plan the statement for ``query``'s
+        shape, for a caller that binds and executes on this host itself.
+
+        Statements the LRU evicts to make room are unbound here, on the
+        thread that binds: emptying their ``__param`` relations bumps
+        those relations' versions, so every engine drops the units and
+        cached results that scanned them at its next execution.  A shape
+        that cannot be planned is not kept.
+        """
+        statement, values, hit, evicted = self.register(query, method)
         for victim in evicted:
             victim.unbind(self.database)
+        try:
+            statement.plan  # planned now, so its errors surface here
+        except Exception:
+            self.prepared.discard(statement)
+            raise
         return statement, values, hit
 
     def execute_statement(
@@ -112,12 +151,11 @@ class DatabaseHost:
         self, relation: str, insert: list, delete: list
     ) -> tuple[int, int]:
         """Apply a row-level delta; returns ``(inserted, deleted)``."""
-        inserted = (
-            self.database.insert_rows(relation, insert) if insert else 0
+        inserted, deleted, error = apply_catalog_delta(
+            self.database, relation, insert, delete
         )
-        deleted = (
-            self.database.delete_rows(relation, delete) if delete else 0
-        )
+        if error is not None:
+            raise error
         return inserted, deleted
 
     def info(self) -> dict:

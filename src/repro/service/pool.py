@@ -34,6 +34,13 @@ catalog copies (which, being mirror-on-ack, already contain every
 forwarded delta — replaying still-queued ``apply`` frames afterwards is
 an idempotent no-op because deltas are set-semantic row operations).
 
+**One pump per executor.**  Each worker's queue is drained by one
+pump coroutine: it owns the admission count, the deadline check at
+dequeue, the in-flight and shutdown failures and the queue-depth stats.
+:class:`LocalPool` runs the same pump in front of one
+:class:`~repro.service.worker.WorkerState` on a thread of this process
+(``--workers 0``); only the transport differs.
+
 Everything here runs on the service's single asyncio loop; state reads
 like routing tables and sequence counters never race with mutation.
 """
@@ -46,10 +53,12 @@ import pickle
 import secrets
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from repro.service.worker import FRAME_HEADER, MAX_FRAME_BYTES
+from repro.service.stats import ServiceStats
+from repro.service.worker import FRAME_HEADER, MAX_FRAME_BYTES, WorkerState
 
 #: Seconds a worker may stay idle before the pump sends a health ping.
 HEALTH_INTERVAL = 15.0
@@ -87,9 +96,15 @@ class PoolRequest:
     frame: dict
     future: asyncio.Future | None
     deadline: float | None = None
-    request_id: Any = None
     db: str | None = None
     seq: int = 0
+
+
+def _refuse(item: PoolRequest, code: str, message: str) -> None:
+    """Fail a client request with an error reply (replica ``apply``
+    frames have no client and are skipped)."""
+    if item.future is not None and not item.future.done():
+        item.future.set_result({"ok": False, "code": code, "message": message})
 
 
 @dataclass
@@ -184,9 +199,10 @@ class WorkerPool:
     The pool does not speak the client protocol and knows nothing about
     sessions; the front end (``QueryService``) computes each read's
     required sequence number and calls :meth:`route_read` /
-    :meth:`submit` / :meth:`forward_apply`.  ``snapshot_databases`` is
+    :meth:`call` / :meth:`forward_apply`.  ``snapshot_databases`` is
     the front end's callback returning its current authoritative
-    catalog copies, used to bootstrap spawns and respawns.
+    catalog copies, used to bootstrap spawns and respawns.  ``stats``
+    receives the queue-depth and dispatch counts.
     """
 
     def __init__(
@@ -199,8 +215,9 @@ class WorkerPool:
         queue_limit: int = 256,
         prepared_cache_size: int = 256,
         plan_cache_size: int = 256,
-        health_interval: float = HEALTH_INTERVAL,
+        health_interval: float | None = HEALTH_INTERVAL,
         hard_timeout: float = HARD_REQUEST_TIMEOUT,
+        stats: ServiceStats | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
@@ -215,6 +232,7 @@ class WorkerPool:
         }
         self._health_interval = health_interval
         self._hard_timeout = hard_timeout
+        self.stats = stats or ServiceStats()
         self.handles = [WorkerHandle(i) for i in range(workers)]
         self.write_seq: dict[str, int] = {name: 0 for name in databases}
         self._queued = 0  # client requests across all queues (applies exempt)
@@ -234,21 +252,25 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the internal listener, spawn every worker, start pumps."""
+        """Open the transport, then start one pump per worker."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connect, host="127.0.0.1", port=0
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        await asyncio.gather(*(self._spawn(h) for h in self.handles))
+        await self._open()
         self._pumps = [
             self._loop.create_task(self._pump(h), name=f"pool-pump-{h.worker_id}")
             for h in self.handles
         ]
 
+    async def _open(self) -> None:
+        """Bind the internal listener and spawn every worker."""
+        self._server = await asyncio.start_server(
+            self._on_connect, host="127.0.0.1", port=0
+        )
+        self._port = self._server.sockets[0].getsockname()[1]
+        await asyncio.gather(*(self._spawn(h) for h in self.handles))
+
     async def stop(self) -> None:
-        """Fail queued work, cancel pumps, terminate and wait for every
-        worker process, close the listener."""
+        """Cancel pumps, fail in-flight and queued work with ``shutdown``,
+        terminate and wait for every worker process, close the transport."""
         self._stopping = True
         for task in self._pumps:
             task.cancel()
@@ -266,6 +288,9 @@ class WorkerPool:
             self._drain_queue(handle, "shutdown", "server is stopping")
             await self._close_transport(handle)
             self._reap(handle)
+        await self._close()
+
+    async def _close(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -359,8 +384,14 @@ class WorkerPool:
 
     # -- framing ------------------------------------------------------
 
+    async def _exchange(self, handle: WorkerHandle, frame: dict) -> dict:
+        """Run one frame on the worker and return its reply."""
+        await self._send_frame(handle, frame)
+        return await asyncio.wait_for(
+            self._read_frame(handle.reader), timeout=self._hard_timeout
+        )
+
     async def _send_frame(self, handle: WorkerHandle, frame: dict) -> None:
-        assert handle.writer is not None
         data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
         handle.writer.write(FRAME_HEADER.pack(len(data)) + data)
         await handle.writer.drain()
@@ -382,11 +413,6 @@ class WorkerPool:
         handle.reader = handle.writer = None
 
     # -- routing and submission ---------------------------------------
-
-    @property
-    def queued(self) -> int:
-        """Client requests currently waiting across all worker queues."""
-        return self._queued
 
     def primary(self, db: str) -> WorkerHandle:
         return self.handles[self.assignments[db][0]]
@@ -413,35 +439,37 @@ class WorkerPool:
             self.reads_replica += 1
         return handle
 
-    def submit(self, handle: WorkerHandle, item: PoolRequest) -> bool:
-        """Enqueue client work; ``False`` means the pool is at its global
-        admission limit (the caller answers ``overloaded``)."""
+    async def call(
+        self, handle: WorkerHandle, frame: dict, deadline: float
+    ) -> dict:
+        """Queue one client frame on ``handle`` and return the reply: the
+        worker's, or a refusal (``overloaded`` at the admission limit,
+        ``timeout`` past ``deadline`` at dequeue, ``worker_failed``,
+        ``shutdown``) in the same ``ok`` / ``code`` / ``message`` form."""
+        assert self._loop is not None
         if self._queued >= self._queue_limit:
-            return False
+            return {
+                "ok": False,
+                "code": "overloaded",
+                "message": f"admission queue full ({self._queue_limit})",
+            }
+        item = PoolRequest(frame, self._loop.create_future(), deadline)
         self._queued += 1
+        self.stats.set_queue_depth(self._queued)
         handle.queue.put_nowait(item)
-        return True
+        return await item.future
 
-    def forward_apply(
-        self, db: str, relation: str, insert: list, delete: list, seq: int
-    ) -> None:
-        """Fan a committed delta out to the database's replicas.
+    def forward_apply(self, frame: dict) -> None:
+        """Fan a committed ``apply`` frame out to its database's replicas.
 
         Internal traffic: exempt from the admission limit (dropping an
         apply would wedge the replica's watermark forever) and carries
         no future — the pump advances ``applied_seq`` on ack.
         """
-        frame = {
-            "kind": "apply",
-            "db": db,
-            "relation": relation,
-            "insert": insert,
-            "delete": delete,
-            "seq": seq,
-        }
+        db = frame["db"]
         for replica_id in self.assignments[db][1]:
             self.handles[replica_id].queue.put_nowait(
-                PoolRequest(frame=frame, future=None, db=db, seq=seq)
+                PoolRequest(frame=frame, future=None, db=db, seq=frame["seq"])
             )
 
     def record_commit(self, db: str, seq: int, handle: WorkerHandle) -> None:
@@ -459,7 +487,8 @@ class WorkerPool:
         its budget in the queue fails with ``timeout`` *without ever
         executing*.  Any transport or worker failure fails the in-flight
         request with ``worker_failed`` and respawns the process from the
-        front end's current catalog state; queued work survives.
+        front end's current catalog state; queued work survives.  A
+        cancelled pump leaves its in-flight request to :meth:`stop`.
         """
         assert self._loop is not None
         while not self._stopping:
@@ -473,45 +502,25 @@ class WorkerPool:
                 continue
             if self._stopping:
                 # stop() cancelled us but wait_for raced the dequeue and
-                # swallowed the CancelledError (3.11 bpo-37658); fail the
-                # item the way _drain_queue would and bail out.
-                if item.future is not None:
-                    self._queued -= 1
-                    if not item.future.done():
-                        item.future.set_result(
-                            {
-                                "ok": False,
-                                "code": "shutdown",
-                                "message": "server is stopping",
-                            }
-                        )
+                # swallowed the CancelledError (3.11 bpo-37658): leave
+                # the item to stop()'s drain and bail out.
+                handle.queue.put_nowait(item)
                 break
             if item.future is not None:
                 self._queued -= 1
+                self.stats.set_queue_depth(self._queued)
                 if item.future.done():  # client gave up (connection dropped)
                     continue
-                if (
-                    item.deadline is not None
-                    and self._loop.time() > item.deadline
-                ):
-                    item.future.set_result(
-                        {
-                            "ok": False,
-                            "code": "timeout",
-                            "message": "request timed out waiting in the worker queue",
-                        }
+                if self._loop.time() > item.deadline:
+                    _refuse(
+                        item, "timeout", "request exceeded its queue-wait deadline"
                     )
                     continue
+                self.stats.record_batch(1)
             handle.inflight = item
             handle.dispatched += 1
             try:
-                await self._send_frame(handle, item.frame)
-                response = await asyncio.wait_for(
-                    self._read_frame(handle.reader), timeout=self._hard_timeout
-                )
-            except asyncio.CancelledError:
-                handle.inflight = None
-                raise
+                response = await self._exchange(handle, item.frame)
             except Exception:
                 self._fail_inflight(
                     handle,
@@ -532,39 +541,26 @@ class WorkerPool:
                 item.future.set_result(response)
 
     async def _health_check(self, handle: WorkerHandle) -> bool:
-        if handle.reader is None or handle.writer is None:
-            return False
         try:
-            await self._send_frame(handle, {"kind": "ping"})
             response = await asyncio.wait_for(
-                self._read_frame(handle.reader), timeout=10.0
+                self._exchange(handle, {"kind": "ping"}), timeout=10.0
             )
             return bool(response.get("pong"))
         except Exception:
             return False
 
     def _fail_inflight(self, handle: WorkerHandle, code: str, message: str) -> None:
-        item = handle.inflight
-        handle.inflight = None
-        if item is None:
-            return
-        handle.errors += 1
-        if item.future is not None and not item.future.done():
-            item.future.set_result({"ok": False, "code": code, "message": message})
+        item, handle.inflight = handle.inflight, None
+        if item is not None:
+            handle.errors += 1
+            _refuse(item, code, message)
 
     def _drain_queue(self, handle: WorkerHandle, code: str, message: str) -> None:
-        while True:
-            try:
-                item = handle.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if item.future is None:
-                continue
-            self._queued -= 1
-            if not item.future.done():
-                item.future.set_result(
-                    {"ok": False, "code": code, "message": message}
-                )
+        while not handle.queue.empty():
+            item = handle.queue.get_nowait()
+            if item.future is not None:
+                self._queued -= 1
+                _refuse(item, code, message)
 
     async def _recover(self, handle: WorkerHandle) -> None:
         """Replace a dead worker, keeping its queue.
@@ -646,30 +642,50 @@ class WorkerPool:
             handle.errors = 0
 
 
-async def wait_for_replicas(
-    pool: WorkerPool, db: str, seq: int, timeout: float = 30.0
-) -> bool:
-    """Block until every replica of ``db`` has applied ``seq`` (test and
-    benchmark helper; the service itself never needs to wait)."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    replica_ids = pool.assignments[db][1]
-    while loop.time() < deadline:
-        if all(
-            pool.handles[r].applied_seq.get(db, 0) >= seq for r in replica_ids
-        ):
-            return True
-        await asyncio.sleep(0.01)
-    return False
+class LocalPool(WorkerPool):
+    """The ``--workers 0`` executor: ``state`` driven on one thread of
+    this process, behind the same queue, pump and deadlines as a worker.
+
+    Given the front end's own :class:`WorkerState`, it executes on the
+    very hosts the ``stats`` op reports, so nothing is copied.  The one
+    thread serializes all engine and catalog access: the engines and the
+    ``Database`` need no locks.  There is no process to health-check,
+    time out or respawn.
+    """
+
+    def __init__(self, state: WorkerState, **options) -> None:
+        super().__init__(
+            list(state.hosts), 1, 0, None, health_interval=None, **options
+        )
+        self._state = state
+        self._thread: ThreadPoolExecutor | None = None
+
+    async def _open(self) -> None:
+        self._thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service"
+        )
+
+    async def _exchange(self, handle: WorkerHandle, frame: dict) -> dict:
+        return await self._loop.run_in_executor(
+            self._thread, self._state.handle, frame
+        )
+
+    async def _recover(self, handle: WorkerHandle) -> None:
+        self.worker_failures += 1
+
+    async def _close(self) -> None:
+        if self._thread is not None:
+            self._thread.shutdown(wait=True)
+            self._thread = None
 
 
 __all__ = [
     "HARD_REQUEST_TIMEOUT",
     "HEALTH_INTERVAL",
+    "LocalPool",
     "PoolRequest",
     "WorkerHandle",
     "WorkerPool",
     "choose_reader",
     "plan_assignments",
-    "wait_for_replicas",
 ]

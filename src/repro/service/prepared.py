@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.core.planner import plan_query
@@ -141,12 +142,12 @@ def _render_shape(template: ConjunctiveQuery, hole_count: int) -> str:
 def shape_to_wire(shape: QueryShape) -> dict:
     """A compact, process-independent encoding of ``shape``.
 
-    This is what crosses the parent/worker IPC boundary in the pool
-    backend: the canonical template (whose terms are all plain strings —
-    constants were already lifted into ``p<i>`` hole variables), the
-    free-variable list, and the hole count.  Workers rebuild the shape
-    with :func:`shape_from_wire` and compile it locally, so plans are
-    never pickled across processes — only shapes are.
+    This is what crosses the front end/executor boundary: the canonical
+    template (whose terms are all plain strings — constants were already
+    lifted into ``p<i>`` hole variables), the free-variable list, and
+    the hole count.  Executors rebuild the shape with
+    :func:`shape_from_wire` and compile it locally, so plans are never
+    pickled across processes — only shapes are.
     """
     return {
         "atoms": [
@@ -193,13 +194,15 @@ def shape_from_wire(payload: dict) -> QueryShape:
 
 
 class PreparedStatement:
-    """One planned (and, on the compiled engines, compiled) query shape.
+    """One query shape under a statement id, planned on first use.
 
     The statement owns the parameterized query — the shape template with
     each hole variable joined against its single-row parameter relation
-    ``__param<sid>_<i>`` — and the plan produced from it.  Per-request
-    work is then just :meth:`bind` (write the parameter rows) plus plan
-    execution against a warm engine.
+    ``__param<sid>_<i>`` — and the plan produced from it.  Both are built
+    the first time :attr:`plan` is read, by whoever executes the
+    statement: the service's shape registry holds statements it never
+    plans.  Per-request work is then just :meth:`bind` (write the
+    parameter rows) plus plan execution against a warm engine.
     """
 
     def __init__(
@@ -220,12 +223,6 @@ class PreparedStatement:
         self.param_variables = tuple(
             f"__p{i}" for i in range(shape.hole_count)
         )
-        self.query = self._parameterize(shape.template)
-        # Fixed seed: the statement is the unit of plan reuse, so its
-        # plan must not depend on when it was prepared.
-        self.plan: Plan = plan_query(
-            self.query, method, rng=random.Random(0)
-        )
         self.uses = 0
         self.rebinds = 0
 
@@ -237,13 +234,23 @@ class PreparedStatement:
     def columns(self) -> tuple[str, ...]:
         """Canonical output schema (positional: the i-th column is the
         client query's i-th head variable)."""
-        return self.query.free_variables
+        return self.shape.template.free_variables
 
-    def _parameterize(self, template: ConjunctiveQuery) -> ConjunctiveQuery:
+    @cached_property
+    def plan(self) -> Plan:
+        # Fixed seed: the statement is the unit of plan reuse, so its
+        # plan must not depend on when it was prepared.
+        return plan_query(self.query, self.method, rng=random.Random(0))
+
+    @cached_property
+    def query(self) -> ConjunctiveQuery:
+        """The shape template with each hole joined to its parameter
+        relation."""
         hole_var = {
             f"{_HOLE_VARIABLE_PREFIX}{i}": self.param_variables[i]
             for i in range(self.shape.hole_count)
         }
+        template = self.shape.template
         atoms: list[Atom] = []
         for atom in template.atoms:
             terms = tuple(hole_var.get(t, t) for t in atom.terms)
@@ -352,6 +359,14 @@ class PreparedStatementCache:
                 self._entries.move_to_end(key)
         return statement
 
+    def discard(self, statement: PreparedStatement) -> None:
+        """Forget ``statement`` (one its executor refused to plan), so the
+        next ``prepare`` of its shape is a miss again."""
+        key = (statement.shape.key, statement.method)
+        if self._entries.get(key) is statement:
+            del self._entries[key]
+            del self._by_id[statement.statement_id]
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -364,10 +379,6 @@ class PreparedStatementCache:
             "entries": len(self._entries),
             "capacity": self.capacity,
         }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._by_id.clear()
 
 
 __all__ = [

@@ -5,36 +5,37 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level spec):
 - One :class:`DatabaseHost` per registered database owns the
   :class:`~repro.relalg.database.Database`, one lazily-created engine
   per backend name (so plan caches and compiled units live as long as
-  the server), and the :class:`PreparedStatementCache` of planned query
-  shapes.
+  the server), and the statement registry: a
+  :class:`PreparedStatementCache` that canonicalizes query shapes and
+  assigns their ids, and never plans.
 - :class:`Session` objects pin a database + engine + default planning
   method for a client; they are bookkeeping only and cost nothing to
   hold open.
-- Engine work (``prepare`` / ``execute`` / ``query`` / ``update``) is
-  admitted through one bounded queue — a full queue fails fast with
-  ``overloaded`` — and drained by a single worker that dequeues up to
-  ``batch_max`` requests at a time and runs them on a one-thread
-  executor.  That single thread serializes all engine and catalog
-  access, so the service needs no locks anywhere.  Per-request timeouts
-  are *queue-wait* deadlines, checked at dequeue: an expired request is
-  failed with ``timeout`` without executing.  Execution itself is not
-  preempted.
+- Engine ops (``prepare`` / ``execute`` / ``query`` / ``update``) take
+  one path, :meth:`QueryService._engine_op`: protocol, session, registry
+  lookup and routing on the event loop, then one frame to an executor —
+  :meth:`repro.service.worker.WorkerState.handle`, the only code that
+  plans, binds, executes or applies a delta — and the reply built from
+  its ack.  Each executor has one bounded queue drained by one pump
+  (``repro.service.pool``): a full queue fails fast with ``overloaded``;
+  timeouts are *queue-wait* deadlines, checked at dequeue, so an expired
+  request fails with ``timeout`` without executing.  Execution itself is
+  not preempted.
+- ``workers = 0`` (the default) runs the executor on one thread of this
+  process, over the front end's own hosts; that thread serializes all
+  engine and catalog access, so the service needs no locks.
+  ``workers = N`` runs it in N worker processes behind framed-pickle
+  sockets: writes commit on each database's primary worker and are
+  mirrored into this process's authoritative catalog copy before being
+  fanned out to read replicas.
 - Cheap ops (``ping``, ``stats``, ``open_session``, ``close_session``)
   run inline on the event loop and never queue behind engine work.
-- With ``ServiceConfig.workers > 0`` the single-thread executor is
-  replaced by the multi-process pool backend (``repro.service.pool``):
-  canonicalization and statement bookkeeping stay here on the loop,
-  engine execution is dispatched to worker processes, writes commit on
-  each database's primary worker and are mirrored into this process's
-  authoritative catalog copy before being fanned out to read replicas.
-  ``workers = 0`` (the default) keeps the legacy in-process path.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.planner import METHODS
@@ -42,7 +43,7 @@ from repro.datalog import parse_rule
 from repro.relalg.compiled import DEFAULT_PLAN_CACHE_SIZE, ENGINE_NAMES
 from repro.relalg.database import Database
 from repro.service.host import DatabaseHost, _map_exception, _RequestError
-from repro.service.pool import PoolRequest, WorkerPool
+from repro.service.pool import LocalPool, WorkerPool
 from repro.service.prepared import shape_to_wire
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -54,11 +55,16 @@ from repro.service.protocol import (
     request_field,
 )
 from repro.service.stats import ServiceStats
-from repro.service.worker import apply_catalog_delta
+from repro.service.worker import WorkerState
 
 #: Scalar types accepted as parameter values and update-row entries
 #: (everything Datalog constants can be, plus what JSON can carry).
 _SCALAR_TYPES = (str, int, float)
+
+#: Executor refusals after which an update is durable nowhere: it never
+#: ran, or ran on a primary that crashed and was respawned from the
+#: front-end copy (which does not contain it).
+_NOT_APPLIED = frozenset({"overloaded", "timeout", "worker_failed", "shutdown"})
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,13 @@ class ServiceConfig:
     port: int = 0  # 0 = pick a free port; read it back via .port
     queue_limit: int = 256
     request_timeout: float = 30.0
-    batch_max: int = 16
     max_sessions: int = 1024
     prepared_cache_size: int = 256
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     default_engine: str = "interpreted"
     default_method: str = "bucket"
-    #: Number of pool worker processes.  0 (the default) keeps the
-    #: legacy single-thread in-process executor.
+    #: Number of pool worker processes.  0 (the default) runs the
+    #: executor on one thread of the server process.
     workers: int = 0
     #: Read replicas per database when the pool is on (clamped to
     #: ``workers - 1``; ignored for ``workers = 0``).
@@ -96,19 +101,6 @@ class Session:
     #: Pool mode only: highest write sequence this session produced per
     #: relation, used to gate replica reads for read-your-writes.
     writes: dict[str, int] = field(default_factory=dict)
-
-
-class _Work:
-    """One admitted engine request waiting in the queue."""
-
-    __slots__ = ("thunk", "future", "deadline", "request_id", "enqueued")
-
-    def __init__(self, thunk, future, deadline, request_id, enqueued):
-        self.thunk = thunk
-        self.future = future
-        self.deadline = deadline
-        self.request_id = request_id
-        self.enqueued = enqueued
 
 
 class QueryService:
@@ -132,41 +124,37 @@ class QueryService:
         if not databases:
             raise ValueError("QueryService needs at least one database")
         self.config = config or ServiceConfig()
-        self.hosts = {
-            name: DatabaseHost(
-                name,
-                database,
-                prepared_cache_size=self.config.prepared_cache_size,
-                plan_cache_size=self.config.plan_cache_size,
-            )
-            for name, database in databases.items()
+        caches = {
+            "prepared_cache_size": self.config.prepared_cache_size,
+            "plan_cache_size": self.config.plan_cache_size,
         }
+        # The front end's own executor state: with workers = 0 the
+        # executor thread runs it; with a pool it is the mirror.
+        self._state = WorkerState(databases, caches)
+        self.hosts: dict[str, DatabaseHost] = self._state.hosts
         self.stats = ServiceStats()
         self._sessions: dict[int, Session] = {}
         self._next_session = 1
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue[_Work] | None = None
-        self._worker_task: asyncio.Task | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping = False
-        self._pool: WorkerPool | None = None
+        options = {"queue_limit": self.config.queue_limit, "stats": self.stats}
         if self.config.workers > 0:
             self._pool = WorkerPool(
                 sorted(self.hosts),
                 self.config.workers,
                 self.config.replicas,
                 self._snapshot_databases_for,
-                queue_limit=self.config.queue_limit,
-                prepared_cache_size=self.config.prepared_cache_size,
-                plan_cache_size=self.config.plan_cache_size,
+                **caches,
+                **options,
             )
+        else:
+            self._pool = LocalPool(self._state, **options)
 
     def _snapshot_databases_for(self, worker_id: int) -> dict[str, Database]:
         """Bootstrap payload for one (re)spawning pool worker: this
         process's authoritative catalog copies for the databases that
         worker hosts."""
-        assert self._pool is not None
         hosted = self._pool._hosted(worker_id)
         return {name: self.hosts[name].database for name in hosted}
 
@@ -181,28 +169,17 @@ class QueryService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the listening socket and start the chosen backend
-        (worker pool, or the legacy in-process admission worker)."""
+        """Start the executors, then bind the listening socket."""
         if self._server is not None:
             raise RuntimeError("service already started")
         self._loop = asyncio.get_running_loop()
-        if self._pool is not None:
-            await self._pool.start()
-        else:
-            self._queue = asyncio.Queue(maxsize=max(1, self.config.queue_limit))
-            # One thread: all engine/catalog access is serialized here,
-            # so the engines and the Database need no locking.
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-service"
-            )
+        await self._pool.start()
         self._server = await asyncio.start_server(
             self._handle_client,
             host=self.config.host,
             port=self.config.port,
             limit=MAX_LINE_BYTES + 1024,
         )
-        if self._pool is None:
-            self._worker_task = self._loop.create_task(self._worker())
 
     async def serve_forever(self) -> None:
         """Run until cancelled (used by ``python -m repro serve``)."""
@@ -213,37 +190,16 @@ class QueryService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener, fail queued requests with ``shutdown``,
-        and release the executor."""
+        """Close the listener, fail queued and in-flight requests with
+        ``shutdown``, and release the executors."""
         self._stopping = True
-        if self._server is not None:
-            self._server.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        await self._pool.stop()
+        if server is not None:
             with contextlib.suppress(Exception):
-                await self._server.wait_closed()
-        if self._worker_task is not None:
-            self._worker_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._worker_task
-        if self._queue is not None:
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                if not item.future.done():
-                    item.future.set_result(
-                        (
-                            None,
-                            error_response(
-                                item.request_id, "shutdown", "server stopping"
-                            ),
-                        )
-                    )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        if self._pool is not None:
-            await self._pool.stop()
-        self._server = None
-        self._worker_task = None
-        self._executor = None
-        self._queue = None
+                await server.wait_closed()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -319,13 +275,7 @@ class QueryService:
             elif op == "close_session":
                 response = self._op_close_session(request_id, message)
             elif op in self._ENGINE_OPS:
-                if self._pool is not None:
-                    label, response = await self._admit_pool(
-                        request_id, op, message
-                    )
-                else:
-                    label, response = await self._admit(request_id, op, message)
-                label = label or op
+                label, response = await self._engine_op(request_id, op, message)
             else:
                 response = error_response(
                     request_id, "unknown_op", f"unknown op {op!r}"
@@ -422,314 +372,137 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------
-    # Engine ops (through the admission queue)
+    # Engine ops: one frame to an executor, the reply from its ack
     # ------------------------------------------------------------------
-    async def _admit(self, request_id, op: str, message: dict):
-        assert self._loop is not None and self._queue is not None
+    async def _engine_op(self, request_id, op: str, message: dict):
+        """Validate on the loop, send one frame, answer from the ack.
+
+        A registry hit on ``prepare`` needs no executor; a miss sends a
+        ``prepare`` frame to the database's primary, so planning errors
+        surface at ``prepare``, and a shape its executor refused leaves
+        the registry again.  Writes go to the primary; reads go where
+        :meth:`WorkerPool.route_read` sends them.
+        """
+        assert self._loop is not None
         if self._stopping:
-            return None, error_response(request_id, "shutdown", "server stopping")
+            raise _RequestError("shutdown", "server stopping")
         session = self._resolve_session(message)
-        host = self.hosts[session.database]
-        thunk = self._build_thunk(request_id, op, message, session, host)
-        timeout = request_field(message, "timeout", float, required=False)
-        if timeout is None:
-            timeout = self.config.request_timeout
-        now = self._loop.time()
-        deadline = now + timeout if timeout > 0 else now
-        work = _Work(thunk, self._loop.create_future(), deadline, request_id, now)
-        try:
-            self._queue.put_nowait(work)
-        except asyncio.QueueFull:
-            return None, error_response(
-                request_id,
-                "overloaded",
-                f"admission queue full ({self.config.queue_limit})",
-            )
-        self.stats.set_queue_depth(self._queue.qsize())
-        return await work.future
-
-    # ------------------------------------------------------------------
-    # Engine ops, pool backend
-    # ------------------------------------------------------------------
-    async def _admit_pool(self, request_id, op: str, message: dict):
-        """Dispatch one engine op onto the worker pool.
-
-        Canonicalization, statement-registry lookups, and update
-        validation stay inline on the event loop (they are cheap and
-        must see one consistent registry); only engine execution and
-        delta application cross into worker processes.
-        """
-        assert self._loop is not None and self._pool is not None
-        if self._stopping:
-            return None, error_response(request_id, "shutdown", "server stopping")
-        session = self._resolve_session(message)
-        host = self.hosts[session.database]
-        timeout = request_field(message, "timeout", float, required=False)
-        if timeout is None:
-            timeout = self.config.request_timeout
-        now = self._loop.time()
-        deadline = now + timeout if timeout > 0 else now
-        if op == "prepare":
-            rule = request_field(message, "rule", str)
-            method = self._resolve_method(message, session)
-            query = parse_rule(rule)
-            statement, values, hit = host.prepare(query, method)
-            return op, ok_response(
-                request_id,
-                statement=statement.statement_id,
-                shape=statement.shape.text,
-                params=statement.param_count,
-                columns=list(statement.columns),
-                method=method,
-                cached=hit,
-                default_params=list(values),
-            )
-        if op == "update":
-            return await self._pool_update(
-                request_id, message, session, host, deadline
-            )
-        if op == "query":
-            rule = request_field(message, "rule", str)
-            method = self._resolve_method(message, session)
-            query = parse_rule(rule)
-            statement, params, hit = host.prepare(query, method)
-            label = "query_warm" if hit else "query_cold"
-            cached = hit
-        else:  # execute
-            statement_id = request_field(message, "statement", int)
-            params = message.get("params", [])
-            self._check_params(params)
-            statement = host.prepared.by_id(statement_id)
-            if statement is None:
-                raise _RequestError(
-                    "unknown_statement", f"no prepared statement {statement_id}"
-                )
-            label = "execute"
-            cached = True
-        return await self._pool_execute(
-            request_id, session, statement, tuple(params), label, cached, deadline
-        )
-
-    async def _pool_execute(
-        self, request_id, session, statement, params, label, cached, deadline
-    ):
-        """Route one read to an eligible worker and await its result.
-
-        The read must observe every write this session made to any
-        relation the statement scans, so it carries the maximum of
-        those write sequence numbers; the router only considers workers
-        whose replication watermark has reached it.
-        """
-        assert self._loop is not None and self._pool is not None
-        need = 0
-        for atom in statement.shape.template.atoms:
-            seq = session.writes.get(atom.relation, 0)
-            if seq > need:
-                need = seq
-        handle = self._pool.route_read(session.database, need)
-        frame = {
-            "kind": "exec",
-            "db": session.database,
-            "engine": session.engine,
-            "method": statement.method,
-            "statement": statement.statement_id,
-            "shape": shape_to_wire(statement.shape),
-            "params": list(params),
-        }
-        item = PoolRequest(
-            frame=frame,
-            future=self._loop.create_future(),
-            deadline=deadline,
-            request_id=request_id,
-        )
-        if not self._pool.submit(handle, item):
-            return None, error_response(
-                request_id,
-                "overloaded",
-                f"admission queue full ({self.config.queue_limit})",
-            )
-        self.stats.set_queue_depth(self._pool.queued)
-        raw = await item.future
-        if not raw.get("ok"):
-            return None, error_response(
-                request_id,
-                raw.get("code", "internal"),
-                raw.get("message", "worker error"),
-            )
-        statement.uses += 1  # keep front-end statement stats meaningful
-        return label, ok_response(
-            request_id,
-            statement=statement.statement_id,
-            columns=list(statement.columns),
-            rows=raw["rows"],
-            cardinality=raw["cardinality"],
-            cached=cached,
-            rebound=raw["rebound"],
-            elapsed_s=raw["elapsed"],
-        )
-
-    async def _pool_update(self, request_id, message, session, host, deadline):
-        """Commit one write on its primary worker, then mirror + fan out.
-
-        The write sequence number is allocated only *after* the primary
-        acks, in ack order — so sequence numbers are dense over writes
-        that actually committed, and a timed-out or failed write leaves
-        no replication gap.  The ack-then-mirror-then-forward order is
-        what makes respawn snapshots safe: the front-end copy always
-        contains every delta any replica was ever asked to apply.
-        """
-        assert self._loop is not None and self._pool is not None
-        relation = request_field(message, "relation", str)
-        insert = self._check_rows(message.get("insert", []), "insert")
-        delete = self._check_rows(message.get("delete", []), "delete")
         db = session.database
-        primary = self._pool.primary(db)
-        frame = {
-            "kind": "update",
-            "db": db,
-            "relation": relation,
-            "insert": insert,
-            "delete": delete,
-        }
-        item = PoolRequest(
-            frame=frame,
-            future=self._loop.create_future(),
-            deadline=deadline,
-            request_id=request_id,
-        )
-        if not self._pool.submit(primary, item):
-            return None, error_response(
-                request_id,
-                "overloaded",
-                f"admission queue full ({self.config.queue_limit})",
-            )
-        self.stats.set_queue_depth(self._pool.queued)
-        raw = await item.future
-        if not raw.get("ok") and raw.get("code") in (
-            "timeout",
-            "worker_failed",
-            "shutdown",
-        ):
-            # The delta is not durable anywhere: it either never ran, or
-            # ran on a primary that crashed and was respawned from the
-            # front-end copy (which does not contain it).
-            return None, error_response(
-                request_id, raw["code"], raw["message"]
-            )
-        # The primary executed the delta (fully, or partially before an
-        # error).  Replay it deterministically on the front-end copy and
-        # fan it out so every copy converges on the identical state.
-        seq = self._pool.next_seq(db)
-        inserted, deleted, error = apply_catalog_delta(
-            host.database, relation, insert, delete
-        )
-        self._pool.record_commit(db, seq, primary)
-        self._pool.forward_apply(db, relation, insert, delete, seq)
-        if inserted or deleted:
-            session.writes[relation] = seq
-        if error is not None:
-            code, text = _map_exception(error)
-            return None, error_response(request_id, code, text)
-        return "update", ok_response(
-            request_id,
-            relation=relation,
-            inserted=inserted,
-            deleted=deleted,
-            version=host.database.version(relation),
-        )
-
-    def _build_thunk(self, request_id, op, message, session, host):
-        """Validate the request *now* (on the loop) and return the
-        closure the executor thread will run."""
-        if op == "prepare":
-            rule = request_field(message, "rule", str)
-            method = self._resolve_method(message, session)
-
-            def thunk():
-                query = parse_rule(rule)
-                statement, values, hit = host.prepare(query, method)
-                return op, ok_response(
-                    request_id,
-                    statement=statement.statement_id,
-                    shape=statement.shape.text,
-                    params=statement.param_count,
-                    columns=list(statement.columns),
-                    method=method,
-                    cached=hit,
-                    default_params=list(values),
-                )
-
-            return thunk
-
-        if op == "execute":
-            statement_id = request_field(message, "statement", int)
-            params = message.get("params", [])
-            self._check_params(params)
-
-            def thunk():
+        timeout = request_field(message, "timeout", float, required=False)
+        if timeout is None:
+            timeout = self.config.request_timeout
+        deadline = self._loop.time() + max(timeout, 0.0)
+        handle = self._pool.primary(db)
+        if op == "update":
+            frame = {
+                "kind": "update",
+                "db": db,
+                "relation": request_field(message, "relation", str),
+                "insert": self._check_rows(message.get("insert", []), "insert"),
+                "delete": self._check_rows(message.get("delete", []), "delete"),
+            }
+        else:
+            host = self.hosts[db]
+            if op == "execute":
+                statement_id = request_field(message, "statement", int)
+                params = message.get("params", [])
+                self._check_params(params)
                 statement = host.prepared.by_id(statement_id)
                 if statement is None:
                     raise _RequestError(
-                        "unknown_statement",
-                        f"no prepared statement {statement_id}",
+                        "unknown_statement", f"no prepared statement {statement_id}"
                     )
-                result, rebound, elapsed = host.execute_statement(
-                    statement, tuple(params), session.engine
+                hit = True
+            else:
+                rule = request_field(message, "rule", str)
+                method = self._resolve_method(message, session)
+                statement, params, hit, _ = host.register(parse_rule(rule), method)
+                if op == "prepare" and hit:
+                    return self._prepared(request_id, statement, params, hit)
+            if op != "prepare":
+                need = max(
+                    (
+                        session.writes.get(atom.relation, 0)
+                        for atom in statement.shape.template.atoms
+                    ),
+                    default=0,
                 )
-                return "execute", self._result_response(
-                    request_id, statement, result, True, rebound, elapsed
-                )
-
-            return thunk
-
-        if op == "query":
-            rule = request_field(message, "rule", str)
-            method = self._resolve_method(message, session)
-
-            def thunk():
-                query = parse_rule(rule)
-                statement, values, hit = host.prepare(query, method)
-                result, rebound, elapsed = host.execute_statement(
-                    statement, values, session.engine
-                )
-                label = "query_warm" if hit else "query_cold"
-                return label, self._result_response(
-                    request_id, statement, result, hit, rebound, elapsed
-                )
-
-            return thunk
-
+                handle = self._pool.route_read(db, need)
+            frame = {
+                "kind": "prepare" if op == "prepare" else "exec",
+                "db": db,
+                "engine": session.engine,
+                "method": statement.method,
+                "statement": statement.statement_id,
+                "shape": shape_to_wire(statement.shape),
+                "params": list(params),
+            }
+        ack = await self._pool.call(handle, frame, deadline)
         if op == "update":
-            relation = request_field(message, "relation", str)
-            insert = self._check_rows(message.get("insert", []), "insert")
-            delete = self._check_rows(message.get("delete", []), "delete")
+            return self._commit(request_id, session, frame, handle, ack)
+        if not ack["ok"]:
+            if not hit:
+                host.prepared.discard(statement)
+            raise _RequestError(ack["code"], ack["message"])
+        if op == "prepare":
+            return self._prepared(request_id, statement, params, hit)
+        return (
+            "execute" if op == "execute" else "query_warm" if hit else "query_cold",
+            ok_response(
+                request_id,
+                statement=statement.statement_id,
+                columns=list(statement.columns),
+                rows=ack["rows"],
+                cardinality=ack["cardinality"],
+                cached=hit,
+                rebound=ack["rebound"],
+                elapsed_s=ack["elapsed"],
+            ),
+        )
 
-            def thunk():
-                inserted, deleted = host.update(relation, insert, delete)
-                return "update", ok_response(
-                    request_id,
-                    relation=relation,
-                    inserted=inserted,
-                    deleted=deleted,
-                    version=host.database.version(relation),
-                )
+    def _commit(self, request_id, session, frame, primary, ack):
+        """Answer an update from its primary's ack.
 
-            return thunk
-
-        raise _RequestError("unknown_op", f"unknown op {op!r}")  # pragma: no cover
+        With a pool, a delta the primary executed (fully, or partially
+        before an error) is then replayed on the front-end copy and
+        fanned out, so every copy converges on the identical state.  Its
+        write sequence number is allocated only *after* the ack, in ack
+        order — dense over writes that actually committed — and the
+        ack-then-mirror-then-forward order is what makes respawn
+        snapshots safe: the front-end copy always contains every delta
+        any replica was ever asked to apply.
+        """
+        if ack.get("code") in _NOT_APPLIED:
+            raise _RequestError(ack["code"], ack["message"])
+        if self.config.workers > 0:
+            db = frame["db"]
+            seq = self._pool.next_seq(db)
+            applied = dict(frame, kind="apply", seq=seq)
+            self._state.handle(applied)
+            self._pool.record_commit(db, seq, primary)
+            self._pool.forward_apply(applied)
+            session.writes[frame["relation"]] = seq
+        if not ack["ok"]:
+            raise _RequestError(ack["code"], ack["message"])
+        return "update", ok_response(
+            request_id,
+            relation=frame["relation"],
+            inserted=ack["inserted"],
+            deleted=ack["deleted"],
+            version=ack["version"],
+        )
 
     @staticmethod
-    def _result_response(request_id, statement, result, cached, rebound, elapsed):
-        rows = [list(row) for row in sorted(result.rows, key=repr)]
-        return ok_response(
+    def _prepared(request_id, statement, values, hit):
+        return "prepare", ok_response(
             request_id,
             statement=statement.statement_id,
+            shape=statement.shape.text,
+            params=statement.param_count,
             columns=list(statement.columns),
-            rows=rows,
-            cardinality=result.cardinality,
-            cached=cached,
-            rebound=rebound,
-            elapsed_s=elapsed,
+            method=statement.method,
+            cached=hit,
+            default_params=list(values),
         )
 
     @staticmethod
@@ -760,68 +533,14 @@ class QueryService:
         return out
 
     # ------------------------------------------------------------------
-    # The admission worker
-    # ------------------------------------------------------------------
-    async def _worker(self) -> None:
-        assert self._loop is not None and self._queue is not None
-        while True:
-            work = await self._queue.get()
-            batch = [work]
-            while len(batch) < max(1, self.config.batch_max):
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self.stats.record_batch(len(batch))
-            self.stats.set_queue_depth(self._queue.qsize())
-            now = self._loop.time()
-            runnable = []
-            for item in batch:
-                if now > item.deadline:
-                    if not item.future.done():
-                        item.future.set_result(
-                            (
-                                None,
-                                error_response(
-                                    item.request_id,
-                                    "timeout",
-                                    "request exceeded its queue-wait deadline",
-                                ),
-                            )
-                        )
-                else:
-                    runnable.append(item)
-            if runnable:
-                await self._loop.run_in_executor(
-                    self._executor, self._run_batch, runnable
-                )
-
-    def _run_batch(self, items: list[_Work]) -> None:
-        """Executor thread: run each thunk, hand results back to the loop."""
-        assert self._loop is not None
-        for item in items:
-            try:
-                outcome = item.thunk()
-            except Exception as exc:
-                code, text = _map_exception(exc)
-                outcome = (None, error_response(item.request_id, code, text))
-            self._loop.call_soon_threadsafe(self._deliver, item, outcome)
-
-    @staticmethod
-    def _deliver(item: _Work, outcome) -> None:
-        if not item.future.done():
-            item.future.set_result(outcome)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
-        """Zero every traffic counter and latency window (and, in pool
-        mode, the per-worker dispatch counters) so subsequent snapshots
-        describe a clean measurement window."""
+        """Zero every traffic counter and latency window (and the
+        executors' dispatch counters) so subsequent snapshots describe a
+        clean measurement window."""
         self.stats.reset()
-        if self._pool is not None:
-            self._pool.reset_counters()
+        self._pool.reset_counters()
 
     def snapshot(self) -> dict:
         """The ``stats`` op's payload.  Counters are read without
@@ -832,7 +551,6 @@ class QueryService:
             "config": {
                 "queue_limit": self.config.queue_limit,
                 "request_timeout": self.config.request_timeout,
-                "batch_max": self.config.batch_max,
                 "max_sessions": self.config.max_sessions,
                 "prepared_cache_size": self.config.prepared_cache_size,
                 "plan_cache_size": self.config.plan_cache_size,
@@ -845,7 +563,7 @@ class QueryService:
                 name: host.info() for name, host in sorted(self.hosts.items())
             },
         }
-        if self._pool is not None:
+        if self.config.workers > 0:
             out["pool"] = self._pool.snapshot()
         return out
 

@@ -1,11 +1,15 @@
-"""Pool worker: the child-process side of ``repro.service.pool``.
+"""The executor: :class:`WorkerState`, and the child-process side of
+``repro.service.pool``.
 
-A worker is one OS process hosting the three engines for the databases
-it was assigned (as primary or replica).  The parent never pickles
-plans, engines, or compiled units across the boundary — only the
-*canonical query shape* plus parameter bindings cross the wire (see
-``repro.service.prepared.shape_to_wire``), and each worker compiles a
-shape once on first sight and reuses the plan, the compiled units, and
+``WorkerState.handle(frame)`` is the only code that plans, binds,
+executes or applies a delta for a served request.  The service drives
+it on one thread of its own process (``--workers 0``, over the front
+end's own hosts) or in worker processes, each hosting the three engines
+for the databases it was assigned (as primary or replica).  The parent
+never pickles plans, engines, or compiled units across the boundary —
+only the *canonical query shape* plus parameter bindings cross the wire
+(see ``repro.service.prepared.shape_to_wire``), and each worker compiles
+a shape once on first sight and reuses the plan, the compiled units, and
 the dependency-tracked caches for the life of the process.  That is the
 cross-process plan-reuse contract: N workers hold N warm copies of the
 hot statement set instead of recomputing per request.
@@ -22,15 +26,18 @@ Frames the worker understands (``kind`` field):
 - ``bootstrap`` — databases + cache-size config; sent once after the
   handshake (and again from scratch when a crashed worker is respawned,
   carrying the parent's current catalog state).
+- ``prepare`` — build and plan the local statement for the parent's
+  statement id (a planning error is the reply).
 - ``exec`` — execute one prepared shape: build/fetch the local
   statement for the parent's statement id, bind params, run on the
   requested engine, return sorted rows.
 - ``update`` / ``apply`` — apply a row-level delta to the local
   catalog copy.  ``update`` (primary) surfaces errors to the parent;
-  ``apply`` (replica) acknowledges unconditionally — both run the same
-  deterministic :func:`apply_catalog_delta`, which is how primary,
-  replicas, and the parent's own mirror copy stay byte-identical even
-  for partially-failing deltas.
+  ``apply`` (replica, and the parent's mirror) acknowledges
+  unconditionally — both run the same deterministic
+  :func:`apply_catalog_delta`, which is how primary, replicas, and the
+  parent's own mirror copy stay byte-identical even for
+  partially-failing deltas.
 - ``ping`` — health check.
 - ``stop`` — clean shutdown.
 """
@@ -46,7 +53,7 @@ import sys
 import time
 from collections import OrderedDict
 
-from repro.service.host import DatabaseHost, _map_exception
+from repro.service.host import DatabaseHost, _map_exception, apply_catalog_delta
 from repro.service.prepared import PreparedStatement, shape_from_wire
 
 #: Frame header: one unsigned 32-bit big-endian payload length.
@@ -84,31 +91,8 @@ def recv_frame(sock: socket.socket):
     return pickle.loads(_recv_exact(sock, length))
 
 
-def apply_catalog_delta(database, relation: str, insert, delete):
-    """Apply one row-level delta; returns ``(inserted, deleted, error)``.
-
-    The insert half runs before the delete half, and each half is
-    atomic (the catalog validates before mutating), so the result —
-    including the partial state left behind when the delete half fails
-    after a successful insert — is a pure function of (catalog state,
-    delta).  Primary, replicas, and the parent's mirror all call this
-    one function, which is what keeps every copy identical without a
-    consensus protocol.
-    """
-    inserted = deleted = 0
-    error = None
-    try:
-        if insert:
-            inserted = database.insert_rows(relation, insert)
-        if delete:
-            deleted = database.delete_rows(relation, delete)
-    except Exception as exc:  # surfaced by the primary, swallowed by replicas
-        error = exc
-    return inserted, deleted, error
-
-
 class WorkerState:
-    """Everything one worker process owns: hosted databases, per-database
+    """Everything one executor owns: hosted databases, per-database
     engines (built lazily, kept warm), and the local statement store."""
 
     def __init__(self, databases: dict, config: dict) -> None:
@@ -122,14 +106,13 @@ class WorkerState:
             for name, database in databases.items()
         }
         self.statement_capacity = max(1, config.get("prepared_cache_size", 256))
-        # Per-database LRU of statements keyed on the *parent's*
+        # Per-database LRU of planned statements keyed on the *parent's*
         # statement id (the parent's registry guarantees an id never
-        # changes meaning, so the id alone is a sound cache key).
+        # changes meaning, so the id alone is a sound cache key).  Its
+        # evictions are what unbind parameter relations.
         self.statements: dict[str, OrderedDict] = {
             name: OrderedDict() for name in self.hosts
         }
-        self.executed = 0
-        self.applied = 0
 
     def _host(self, name: str):
         host = self.hosts.get(name)
@@ -137,20 +120,24 @@ class WorkerState:
             raise ValueError(f"worker does not host database {name!r}")
         return host
 
-    def _statement(self, db: str, frame: dict):
-        store = self.statements[db]
+    def _statement(self, frame: dict):
+        """The planned statement for the frame's id: fetched, or built
+        from its shape (planning errors propagate, nothing is stored)."""
+        host = self._host(frame["db"])
+        store = self.statements[host.name]
         statement_id = frame["statement"]
         statement = store.get(statement_id)
-        if statement is None:
-            shape = shape_from_wire(frame["shape"])
-            statement = PreparedStatement(statement_id, shape, frame["method"])
-            store[statement_id] = statement
-            while len(store) > self.statement_capacity:
-                _, evicted = store.popitem(last=False)
-                evicted.unbind(self._host(db).database)
-        else:
+        if statement is not None:
             store.move_to_end(statement_id)
-        return statement
+            return host, statement
+        shape = shape_from_wire(frame["shape"])
+        statement = PreparedStatement(statement_id, shape, frame["method"])
+        statement.plan  # planned before it is stored: a refused shape leaves none
+        store[statement_id] = statement
+        while len(store) > self.statement_capacity:
+            _, evicted = store.popitem(last=False)
+            evicted.unbind(host.database)
+        return host, statement
 
     def handle(self, frame: dict) -> dict:
         """Dispatch one request frame to its handler; never raises."""
@@ -158,6 +145,9 @@ class WorkerState:
         try:
             if kind == "exec":
                 return self._handle_exec(frame)
+            if kind == "prepare":
+                self._statement(frame)
+                return {"ok": True}
             if kind in ("update", "apply"):
                 return self._handle_delta(frame)
             if kind == "ping":
@@ -168,13 +158,10 @@ class WorkerState:
             return {"ok": False, "code": code, "message": text}
 
     def _handle_exec(self, frame: dict) -> dict:
-        db = frame["db"]
-        host = self._host(db)
-        statement = self._statement(db, frame)
+        host, statement = self._statement(frame)
         result, rebound, elapsed = host.execute_statement(
             statement, tuple(frame["params"]), frame["engine"]
         )
-        self.executed += 1
         return {
             "ok": True,
             "rows": [list(row) for row in sorted(result.rows, key=repr)],
@@ -184,11 +171,11 @@ class WorkerState:
         }
 
     def _handle_delta(self, frame: dict) -> dict:
-        host = self._host(frame["db"])
+        database = self._host(frame["db"]).database
+        relation = frame["relation"]
         inserted, deleted, error = apply_catalog_delta(
-            host.database, frame["relation"], frame["insert"], frame["delete"]
+            database, relation, frame["insert"], frame["delete"]
         )
-        self.applied += 1
         if error is not None and frame["kind"] == "update":
             code, text = _map_exception(error)
             return {"ok": False, "code": code, "message": text, "seq": frame.get("seq")}
@@ -196,6 +183,7 @@ class WorkerState:
             "ok": True,
             "inserted": inserted,
             "deleted": deleted,
+            "version": database.version(relation),
             "seq": frame.get("seq"),
         }
 

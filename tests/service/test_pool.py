@@ -3,9 +3,10 @@
 Pure-logic tests cover the router (sharding layout, read-your-writes
 gating) and the shape wire format; live tests run a real
 :class:`QueryService` with ``workers > 0`` — actual child processes over
-loopback IPC — and exercise differential correctness against
-``evaluate()``, read-your-writes under replication, queue-wait deadline
-expiry at dequeue, and crash detection with respawn-from-snapshot.
+loopback IPC — and exercise read-your-writes under replication, crash
+detection with respawn-from-snapshot, the ``pool`` stats block and the
+process tree.  Queries, prepared statements, updates and admission
+control run on both backends in ``test_server.py``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import sys
 import threading
 import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro.core.planner import plan_query
 from repro.datalog import parse_rule
-from repro.relalg.compiled import ENGINE_NAMES
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import evaluate
 from repro.relalg.relation import Relation
@@ -49,23 +48,16 @@ from repro.service.prepared import (
 )
 from repro.service.worker import recv_frame, send_frame
 
-SLOW_RULE = "q(X) :- dense(X, Y), dense(Y, Z), dense(Z, X)."
 
-
-def pool_database(dense_nodes: int = 0) -> Database:
+def pool_database() -> Database:
     db = edge_database()
     rows = [(i, (i * 3 + 1) % 7) for i in range(7)] + [(1, 4), (2, 5)]
     db.add("graph", Relation(("u", "w"), rows))
-    if dense_nodes:
-        dense = [
-            (i, j) for i in range(dense_nodes) for j in range(dense_nodes) if i != j
-        ]
-        db.add("dense", Relation(("u", "w"), dense))
     return db
 
 
 class LivePool:
-    """A QueryService (pool or legacy backend) on a background loop."""
+    """A QueryService on a background loop."""
 
     def __init__(self, databases=None, **config_kwargs):
         self.service = QueryService(
@@ -215,77 +207,6 @@ class TestShapeWire:
         assert result.rows == expected.rows
 
 
-class TestPoolQueries:
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
-    def test_served_rows_match_direct_evaluate(self, live, engine):
-        rules = [
-            "q(X) :- edge(X, Y), edge(Y, X).",
-            "q(X) :- graph(2, X), graph(X, Y).",
-            "q(X, Y) :- graph(X, Y), graph(Y, 4).",
-        ]
-        server = live(workers=2, replicas=1)
-        with server.client() as client:
-            session = client.open_session(engine=engine)
-            for rule in rules:
-                served = client.query(session, rule)
-                expected, _ = evaluate(
-                    plan_query(parse_rule(rule), "bucket", rng=random.Random(0)),
-                    pool_database(),
-                    engine=engine,
-                )
-                assert {tuple(row) for row in served["rows"]} == expected.rows, rule
-                # Same shape, warm second run, same rows.
-                again = client.query(session, rule)
-                assert again["cached"] is True
-                assert again["rows"] == served["rows"]
-
-    def test_prepare_execute_and_shared_statements(self, live):
-        server = live(workers=2, replicas=1)
-        with server.client() as client:
-            one = client.open_session(engine="interpreted")
-            two = client.open_session(engine="compiled")
-            p1 = client.prepare(one, "q(X) :- graph(3, X).")
-            p2 = client.prepare(two, "q(X) :- graph(6, X).")
-            # The statement registry lives in the front end, so both
-            # sessions (routed to different workers) share one id.
-            assert p1["statement"] == p2["statement"]
-            assert p2["cached"] is True
-            for session, anchor in ((one, 2), (two, 5), (one, 2)):
-                answer = client.execute(session, p1["statement"], [anchor])
-                rule = f"q(X) :- graph({anchor}, X)."
-                expected, _ = evaluate(
-                    plan_query(parse_rule(rule), "bucket", rng=random.Random(0)),
-                    pool_database(),
-                )
-                assert {tuple(r) for r in answer["rows"]} == expected.rows
-
-    def test_execute_unknown_statement_and_bad_params(self, live):
-        server = live(workers=2, replicas=1)
-        with server.client() as client:
-            session = client.open_session()
-            with pytest.raises(ServiceError) as exc:
-                client.execute(session, 12345, [])
-            assert exc.value.code == "unknown_statement"
-            prepared = client.prepare(session, "q(X) :- graph(2, X).")
-            with pytest.raises(ServiceError) as exc:
-                client.execute(session, prepared["statement"], [1, 2])
-            assert exc.value.code == "bad_request"
-
-    def test_error_codes_match_legacy_backend(self, live):
-        server = live(workers=2, replicas=1)
-        with server.client() as client:
-            session = client.open_session()
-            with pytest.raises(ServiceError) as exc:
-                client.query(session, "not datalog at all")
-            assert exc.value.code == "query_error"
-            with pytest.raises(ServiceError) as exc:
-                client.query(session, "q(X) :- nothere(X, Y).")
-            assert exc.value.code == "unknown_relation"
-            with pytest.raises(ServiceError) as exc:
-                client.update(session, "nothere", insert=[[1, 2]])
-            assert exc.value.code == "unknown_relation"
-
-
 class TestReadYourWrites:
     def test_session_reads_observe_own_writes_immediately(self, live):
         """The documented read-your-writes guarantee: within a session,
@@ -333,56 +254,6 @@ class TestReadYourWrites:
             second = client.update(session, "graph", insert=[[50, 60]])
             assert second["inserted"] == 0
             assert second["version"] == first["version"]  # no-op delta
-
-
-class TestPoolAdmission:
-    def test_timeout_zero_expires_at_dequeue(self, live):
-        server = live(workers=1)
-        with server.client() as client:
-            session = client.open_session()
-            with pytest.raises(ServiceError) as exc:
-                client.request(
-                    "query", session=session, rule="q(X) :- edge(X, Y).", timeout=0
-                )
-            assert exc.value.code == "timeout"
-
-    def test_expired_update_behind_slow_query_never_executes(self, live):
-        """A queue-expired request is dropped at dequeue *without
-        executing*: the update queued behind an in-flight slow query
-        times out and must leave the catalog untouched, while the
-        healthy request queued alongside it still completes."""
-        server = live(
-            databases={"default": pool_database(dense_nodes=80)}, workers=1
-        )
-        with server.client() as slow_client, server.client() as upd_client, \
-                server.client() as read_client:
-            slow = slow_client.open_session()
-            upd = upd_client.open_session()
-            read = read_client.open_session()
-            with ThreadPoolExecutor(max_workers=3) as threads:
-                slow_future = threads.submit(slow_client.query, slow, SLOW_RULE)
-                time.sleep(0.15)  # let the slow query reach the worker
-                update_future = threads.submit(
-                    upd_client.request,
-                    "update",
-                    session=upd,
-                    relation="graph",
-                    insert=[[500, 600]],
-                    timeout=0,
-                )
-                read_future = threads.submit(
-                    read_client.query, read, "q(X) :- graph(2, X)."
-                )
-                assert slow_future.result(60)["cardinality"] >= 1
-                with pytest.raises(ServiceError) as exc:
-                    update_future.result(60)
-                assert exc.value.code == "timeout"
-                assert read_future.result(60)["rows"]
-            # The expired update never ran anywhere.
-            after = read_client.query(read, "q(X) :- graph(500, X).")
-            assert after["rows"] == []
-            snap = read_client.stats_snapshot()
-            assert snap["pool"]["write_seq"]["default"] == 0
 
 
 class TestCrashRecovery:
@@ -485,8 +356,9 @@ class FlakyServer(threading.Thread):
                 conn, _ = self.sock.accept()
             except OSError:
                 return
-            with conn:
-                stream = conn.makefile("rb")
+            # The stream holds the fd too: both must close for the client
+            # to see EOF rather than wait out its socket timeout.
+            with conn, conn.makefile("rb") as stream:
                 while True:
                     line = stream.readline()
                     if not line:
@@ -508,11 +380,14 @@ class TestClientReconnect:
         server.start()
         try:
             client = ServiceClient(
-                "127.0.0.1", server.port, reconnect_backoff=0.01
+                "127.0.0.1", server.port, timeout=5, reconnect_backoff=0.01
             )
+            started = time.monotonic()
             with pytest.raises(ServiceRetryableError) as exc:
                 client.ping()
             assert exc.value.code == "connection_lost"
+            assert "server closed the connection" in exc.value.message
+            assert time.monotonic() - started < 2  # EOF, not the timeout
             assert client.reconnects == 1
             # The reconnected socket works; the retry is the caller's
             # explicit decision, not something the client does silently.
@@ -591,9 +466,14 @@ class TestProcessTree:
     def test_children_are_the_workers_and_none_outlives_the_server(self):
         """A ``--workers 2`` server is three processes and nothing else —
         no launcher, no tracker; a crashed worker is reaped, not left a
-        zombie; after the server stops none of them is left."""
+        zombie; after the server stops none of them is left.  Without
+        replicas the read after the kill goes to the dead primary, so the
+        pump finds the crash at once instead of at the next health ping."""
         server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--workers", "2", "--replicas", "0",
+            ],
             env=dict(os.environ, PYTHONPATH=SRC),
             stdout=subprocess.PIPE,
             text=True,

@@ -2,7 +2,11 @@
 exercised through the blocking :class:`ServiceClient`.
 
 The event loop runs in a background thread so the (synchronous) tests
-can use the same client code a real script would.
+can use the same client code a real script would.  Every test class
+runs twice: against the executor on a thread of the server process
+(``workers=0``) and, as its ``...OnPool`` twin, against a worker
+process.  Only assertions that one backend alone can answer — the front
+end's ``engines`` block, the ``pool`` block — branch.
 """
 
 from __future__ import annotations
@@ -19,11 +23,17 @@ import pytest
 
 from repro.core.planner import plan_query
 from repro.datalog import parse_rule
-from repro.relalg.compiled import ENGINE_NAMES
+from repro.relalg.compiled import ENGINE_NAMES, make_engine
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import evaluate
 from repro.relalg.relation import Relation
 from repro.service import QueryService, ServiceClient, ServiceConfig, ServiceError
+from repro.service import prepared as prepared_module
+from repro.service.protocol import decode_line, encode_message
+
+#: ``ServiceConfig`` fields of the two backends every test runs against.
+THREAD = {"workers": 0}
+POOL = {"workers": 1, "replicas": 0}
 
 
 def service_database() -> Database:
@@ -44,25 +54,28 @@ class LiveService:
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
         self.thread.start()
-        asyncio.run_coroutine_threadsafe(self.service.start(), self.loop).result(10)
+        asyncio.run_coroutine_threadsafe(self.service.start(), self.loop).result(60)
         self.port = self.service.port
 
     def client(self, **kwargs) -> ServiceClient:
         return ServiceClient("127.0.0.1", self.port, **kwargs)
 
     def shutdown(self) -> None:
-        asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop).result(10)
+        asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop).result(60)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
         self.loop.close()
 
 
 @pytest.fixture
-def live():
+def live(request):
+    """Start servers on the test class's ``BACKEND`` (``THREAD`` unless
+    the class says otherwise); stop them after the test."""
+    backend = getattr(request.cls, "BACKEND", THREAD)
     started: list[LiveService] = []
 
     def factory(databases=None, **config_kwargs) -> LiveService:
-        service = LiveService(databases, **config_kwargs)
+        service = LiveService(databases, **{**backend, **config_kwargs})
         started.append(service)
         return service
 
@@ -134,10 +147,12 @@ class TestQueries:
             assert second["statement"] == first["statement"]
             # The shape cache hit means no second plan; the compiled-unit
             # cache retained every unit across the rebind.
-            info = client.stats_snapshot()["databases"]["default"]
+            snap = client.stats_snapshot()
+            info = snap["databases"]["default"]
             assert info["prepared"]["hits"] >= 1
             assert info["prepared"]["misses"] == 1
-            assert info["engines"]["compiled"]["hits"] > 0
+            if "pool" not in snap:  # a pool's engines live in its workers
+                assert info["engines"]["compiled"]["hits"] > 0
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_served_rows_match_direct_evaluate(self, live, engine):
@@ -157,6 +172,10 @@ class TestQueries:
                     engine=engine,
                 )
                 assert {tuple(row) for row in served["rows"]} == expected.rows, rule
+                # Same shape, warm second run, same rows.
+                again = client.query(session, rule)
+                assert again["cached"] is True
+                assert again["rows"] == served["rows"]
 
     def test_method_override_per_request(self, live):
         with live().client() as client:
@@ -295,9 +314,9 @@ class TestAdmissionControl:
             assert exc.value.code == "timeout"
 
     def test_expired_request_mid_batch_never_executes(self, live):
-        """An expired request drained in the same batch as a healthy one
-        fails with ``timeout`` at dequeue and must not run: the update
-        leaves no trace while the query beside it completes."""
+        """An expired request queued behind a slow query fails with
+        ``timeout`` at dequeue and must not run: the update leaves no
+        trace while the query queued beside it completes."""
         server = live(databases={"default": dense_database()})
         with server.client() as slow_client, server.client() as upd_client, \
                 server.client() as read_client:
@@ -326,6 +345,9 @@ class TestAdmissionControl:
                 assert read_future.result(60)["rows"]
             after = read_client.query(read, "q(X) :- graph(500, X).")
             assert after["rows"] == []
+            snap = read_client.stats_snapshot()
+            if "pool" in snap:  # nothing was committed, so nothing replicated
+                assert snap["pool"]["write_seq"]["default"] == 0
 
     def test_stats_reset_clears_counters_and_latency(self, live):
         with live().client() as client:
@@ -354,3 +376,154 @@ class TestAdmissionControl:
         database_block = snap["databases"]["default"]
         assert database_block["plans_by_method"] == {"bucket": 1}
         assert database_block["prepared"]["entries"] == 1
+
+
+class TestLifecycleOnPool(TestLifecycle):
+    BACKEND = POOL
+
+
+class TestQueriesOnPool(TestQueries):
+    BACKEND = POOL
+
+
+class TestPreparedExecutionOnPool(TestPreparedExecution):
+    BACKEND = POOL
+
+
+class TestUpdatesOnPool(TestUpdates):
+    BACKEND = POOL
+
+
+class TestAdmissionControlOnPool(TestAdmissionControl):
+    BACKEND = POOL
+
+
+#: One session's requests (``session`` 1 is the first one a fresh server
+#: opens), touching every reply shape and error code an engine op has.
+PARITY_SCRIPT = [
+    ("open_session", {"engine": "compiled"}),
+    ("prepare", {"rule": "q(X) :- graph(2, X), graph(X, Y)."}),  # miss
+    ("prepare", {"rule": "q(Z) :- graph(5, Z), graph(Z, W)."}),  # hit
+    ("execute", {"statement": 1, "params": [2]}),
+    ("execute", {"statement": 1, "params": [5]}),  # rebind
+    ("execute", {"statement": 1, "params": [5]}),  # same value
+    ("query", {"rule": "q(X) :- edge(X, Y), edge(Y, X)."}),  # cold
+    ("query", {"rule": "q(A) :- edge(A, B), edge(B, A)."}),  # warm
+    ("update", {"relation": "graph", "insert": [[50, 1]]}),
+    ("update", {"relation": "graph", "insert": [[50, 1]]}),  # no-op
+    ("execute", {"statement": 1, "params": [50]}),
+    ("update", {"relation": "graph", "delete": [[50, 1]]}),
+    ("execute", {"statement": 99, "params": []}),
+    ("execute", {"statement": 1, "params": [1, 2]}),
+    ("execute", {"statement": 1, "params": [[1]]}),
+    ("query", {"rule": "q(X) :- nothere(X, Y)."}),
+    ("update", {"relation": "nothere", "insert": [[1, 2]]}),
+    ("query", {"rule": "this is not datalog"}),
+    (
+        "prepare",
+        {
+            "rule": "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X).",
+            "method": "yannakakis",
+        },
+    ),
+    # Refused at planning, so not registered: refused again.
+    (
+        "prepare",
+        {
+            "rule": "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X).",
+            "method": "yannakakis",
+        },
+    ),
+    ("query", {"rule": "q(X) :- edge(X, Y).", "timeout": 0}),
+]
+
+
+def run_script(port: int) -> list[dict]:
+    """Every reply of :data:`PARITY_SCRIPT`, raw (errors included)."""
+    replies = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        stream = sock.makefile("rb")
+        for number, (op, fields) in enumerate(PARITY_SCRIPT):
+            message = {"op": op, "id": number, **fields}
+            if op != "open_session":
+                message["session"] = 1
+            sock.sendall(encode_message(message))
+            reply = decode_line(stream.readline())
+            reply.pop("elapsed_s", None)
+            replies.append(reply)
+        stream.close()
+    return replies
+
+
+def test_both_backends_answer_alike(live):
+    """The same script against the executor thread and a worker process
+    gets the same replies, field by field, but for ``elapsed_s``."""
+    thread = run_script(live(**THREAD).port)
+    pool = run_script(live(**POOL).port)
+    assert thread == pool
+    codes = [r["error"]["code"] for r in thread if not r["ok"]]
+    assert codes == [
+        "unknown_statement",
+        "bad_request",
+        "bad_request",
+        "unknown_relation",
+        "unknown_relation",
+        "query_error",
+        "query_error",
+        "query_error",
+        "timeout",
+    ]
+    assert [r.get("cached") for r in thread[1:3]] == [False, True]
+    assert [r["rebound"] for r in thread[3:6]] == [1, 1, 0]
+    assert [r["cached"] for r in thread[6:8]] == [False, True]
+    assert [r["inserted"] for r in thread[8:10]] == [1, 0]
+    assert thread[9]["version"] == thread[8]["version"]
+    assert thread[10]["rows"] == [[1]]
+    assert thread[11]["deleted"] == 1
+
+
+def test_engine_work_stays_on_one_thread_off_the_loop(live, monkeypatch):
+    """With ``workers=0`` planning, catalog writes and engine execution
+    all run on the executor thread: ``plans._intern_key`` and the
+    ``Database`` are unlocked, so none of them may run on the loop."""
+    server = live(prepared_cache_size=2)
+    threads: dict[str, set[int]] = {}
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(prepared_module, "plan_query")
+    for name in ("put", "drop", "insert_rows", "delete_rows"):
+        record(Database, name)
+    for engine in ENGINE_NAMES:
+        record(type(make_engine(engine, Database())), "execute")
+
+    with server.client() as client:
+        for engine in ENGINE_NAMES:
+            session = client.open_session(engine=engine)
+            # More shapes than the statement LRU holds: an eviction storm.
+            for length in range(1, 6):
+                body = ", ".join(
+                    f"graph({left}, {right})"
+                    for left, right in zip(
+                        ["2"] + [f"V{i}" for i in range(1, length)],
+                        [f"V{i}" for i in range(1, length)] + ["X"],
+                    )
+                )
+                rule = f"q(X) :- {body}."
+                statement = client.query(session, rule)["statement"]
+                client.execute(session, statement, [5])
+            client.update(session, "graph", insert=[[70, 71]])
+            client.update(session, "graph", delete=[[70, 71]])
+
+    assert set(threads) >= {
+        "plan_query", "put", "drop", "insert_rows", "delete_rows", "execute"
+    }
+    (executor,) = set().union(*threads.values())
+    assert executor != server.thread.ident

@@ -178,12 +178,11 @@ class TestServeCommand:
         assert args.edge_db == []
         assert args.queue_limit == 256
         assert args.request_timeout == 30.0
-        assert args.batch_max == 16
         assert args.max_sessions == 1024
         assert args.prepared_cache_size == 256
         assert args.default_engine == "interpreted"
         assert args.default_method == "bucket"
-        assert args.workers == 0  # pool off by default: legacy in-process path
+        assert args.workers == 0  # pool off by default: one executor thread
         assert args.replicas == 1
 
     def test_serve_flags_parse(self):
