@@ -12,7 +12,10 @@ in the parent checkout and once in this one — the parent first on odd
 seeds, this checkout first on even ones, so drift of the host over the
 session lands on both sides.  Each checkout runs its own copy of the
 benchmark; ordinary PRs keep ``benchmarks/layers/`` byte-identical, so
-the two are the same program over different ``src/``.
+the two are the same program over different ``src/``.  Every run starts
+with no bytecode under its checkout's ``src/`` and ``benchmarks/`` and
+writes none, so both sides pay the same module compilation in
+``setup_s``.
 
 Prints, for every end-to-end metric of every workload run (with
 ``--trace``: every per-layer metric that is not zero throughout), both
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -66,7 +70,16 @@ def run(tree: Path, output: Path, seed: int, args) -> None:
         command += ["--trace", "1"]
     if args.smoke:
         command.append("--smoke")
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    # Both sides compile their own modules from source on every run:
+    # ``setup_s`` is mostly that compilation, so a ``__pycache__`` left
+    # on one side only would read as a set-up gain.  (The standard
+    # library's and numpy's bytecode stays, on both sides alike.)
+    for top in ("src", "benchmarks"):
+        for cache in list((tree / top).rglob("__pycache__")):
+            shutil.rmtree(cache, ignore_errors=True)
+    environment = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          env=environment)
     if done.returncode:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"{' '.join(command)} exited {done.returncode}")

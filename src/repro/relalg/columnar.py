@@ -167,6 +167,7 @@ class ColumnStore:
         "_key_indexes",
         "_domains",
         "_arrays",
+        "_rows",
     )
 
     def __init__(
@@ -182,6 +183,7 @@ class ColumnStore:
         self._key_indexes: dict[tuple[int, ...], tuple[dict, array]] = {}
         self._domains: dict[int, array] = {}
         self._arrays: tuple | None = None
+        self._rows: list[tuple] | None = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], arity: int) -> "ColumnStore":
@@ -268,6 +270,16 @@ class ColumnStore:
                 _np.asarray(col, dtype=_np.int64) for col in self.codes
             )
         return self._arrays
+
+    def rows(self) -> list[tuple]:
+        """The store as a list of code tuples, one per row, built once
+        and memoized — the payload of the row-kernel execution path.
+        Callers share the list and must not mutate it."""
+        if self._rows is None:
+            self._rows = (
+                list(zip(*self.codes)) if self.codes else [()] * self.cardinality
+            )
+        return self._rows
 
     def nbytes(self) -> int:
         """Compact storage cost: every column packed into the smallest

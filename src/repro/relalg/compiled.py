@@ -71,9 +71,10 @@ invariant.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Any, Callable, Sequence
 
 from repro.errors import PlanError, SchemaError
@@ -202,7 +203,7 @@ class _Unit:
     group's *root* plan node — the CSE cache key.
     ``source``/``source_columns``/``source_positions`` are set only for
     zero-copy scans, so parents can reuse the base relation's memoized
-    key index (by column name for the row engines, by column position
+    key index (by column name for the row engine, by column position
     for the columnar one); ``source()`` is the scanned relation as the
     catalog holds it now.
     """
@@ -212,8 +213,8 @@ class _Unit:
     key: tuple
     header: tuple[str, ...]
     source: Callable[[], Relation] | None = None
-    source_columns: dict[str, str] = field(default_factory=dict)
-    source_positions: dict[str, int] = field(default_factory=dict)
+    source_columns: dict[str, str] | None = None
+    source_positions: dict[str, int] | None = None
     #: Set only on vectorized *scan units* (a scan, or a projection
     #: folded over one): ``bound()`` is ``(batch, (total, built,
     #: max_card))`` — the unit's output over the relation the catalog
@@ -225,17 +226,31 @@ class _Unit:
     #: Lazily flattened post-order ``[(fn, nargs), ...]`` of the unit
     #: tree rooted here (vectorized uncached driver).
     program: list | None = None
-    #: Pipeline descriptor (:class:`_Pipe`) set on vectorized units whose
-    #: output is a chain of joins/semijoins against scan-unit right
-    #: sides — the hook that lets a parent operator fuse the chain into
-    #: one generated kernel.
-    pipe: Any = None
+    #: Set only on vectorized pipeline units: the scan units its stages
+    #: probe, bottom-up.  The kernel reads their ``bound`` records
+    #: itself, so the drivers never schedule them as children.
+    stages: tuple["_Unit", ...] = ()
     #: Base-relation footprint of the group's root plan node
     #: (:func:`repro.plans.dependencies`), stamped at compile time: a
     #: cached result the unit produced is invalidated exactly when one
     #: of these relations mutates, the unit itself only when one of them
     #: is dropped or changes columns.
     deps: tuple[str, ...] = ()
+
+
+def _unit_children(node: Plan) -> tuple[Plan, ...]:
+    """Child *plan* nodes of the fused unit rooted at ``node`` — the
+    places where a materialized input is required."""
+    if isinstance(node, Project):
+        child = node.child
+        if isinstance(child, (Join, Semijoin)):
+            return (child.left, child.right)
+        return (child,)
+    if isinstance(node, (Join, Semijoin)):
+        return (node.left, node.right)
+    if isinstance(node, Scan):
+        return ()
+    raise PlanError(f"unknown plan node {node!r}")
 
 
 class CompiledEngine:
@@ -434,7 +449,9 @@ class CompiledEngine:
                 key = (u.key, tracker.vector(u.deps))
                 entry = cache.get(key)
                 if entry is not None:
-                    rows, snapshot = entry
+                    # A vectorized root's entry carries its decoded
+                    # answer third (VectorizedEngine.execute).
+                    rows, snapshot = entry[0], entry[1]
                     sink.cache_hits += 1
                     sink.merge(snapshot)
                     dest.append(rows)
@@ -468,6 +485,7 @@ class CompiledEngine:
         # lowering function that stamps it on the unit.
         units = self._units
         peek = units.peek
+        unit_children = self._unit_children
         key = plan_key(plan)
         cached = peek(key)
         if cached is not None:
@@ -485,7 +503,7 @@ class CompiledEngine:
             if peek(node_key) is not None:
                 continue
             if kid_keys is None:
-                kids = _unit_children(node)
+                kids = unit_children(node)
                 kid_keys = tuple(map(plan_key, kids))
                 if kids:
                     # Revisit once the children are built (a scan has
@@ -498,6 +516,10 @@ class CompiledEngine:
             unit.deps = dependencies(node)
             units.put(node_key, unit, unit.deps)
         return peek(key)
+
+    #: Child plan nodes the unit rooted at a node consumes — which nodes
+    #: get units at all is this choice, made before any is built.
+    _unit_children = staticmethod(_unit_children)
 
     def _build_unit(
         self, node: Plan, key: tuple, children: tuple[_Unit, ...]
@@ -566,21 +588,6 @@ class CompiledEngine:
             return out
 
         return _Unit(fn=run_scan, children=(), key=key, header=header)
-
-
-def _unit_children(node: Plan) -> tuple[Plan, ...]:
-    """Child *plan* nodes of the fused unit rooted at ``node`` — the
-    places where a materialized input is required."""
-    if isinstance(node, Project):
-        child = node.child
-        if isinstance(child, (Join, Semijoin)):
-            return (child.left, child.right)
-        return (child,)
-    if isinstance(node, (Join, Semijoin)):
-        return (node.left, node.right)
-    if isinstance(node, Scan):
-        return ()
-    raise PlanError(f"unknown plan node {node!r}")
 
 
 def _zero_copy(
@@ -1265,6 +1272,29 @@ def _decode_batch(header: tuple[str, ...], batch: Batch) -> Relation:
     return result
 
 
+class _Later:
+    """A kernel's array path, made by the first call that takes it:
+    ``make(*args)`` returns the array kernel, which then serves every
+    call.  A unit whose batches all stay under ``_ARRAY_MIN`` never pays
+    for its closure, cells or build sides."""
+
+    __slots__ = ("make", "args", "kernel")
+
+    def __init__(self, make: Callable[..., Callable], args: tuple) -> None:
+        self.make, self.args, self.kernel = make, args, None
+
+    def __call__(self, stats: ExecutionStats, *batches: Batch) -> Batch:
+        if self.kernel is None:
+            self.kernel = self.make(*self.args)
+        return self.kernel(stats, *batches)
+
+
+def _array_path(make: Callable[..., Callable], *args) -> _Later | None:
+    """``make(*args)`` as a :class:`_Later`, or ``None`` without numpy
+    (every batch then takes the row path)."""
+    return _Later(make, args) if _np is not None else None
+
+
 def _vsemijoin_lookup(
     right_unit: _Unit, shared: tuple[str, ...], right_key: Sequence[int]
 ):
@@ -1286,160 +1316,151 @@ def _vsemijoin_lookup(
     return _kept(right_unit, lambda rbatch: set(map(rkey, _batch_rows(rbatch))))
 
 
+# Each kernel shape below has a builder making the row kernel and only
+# the cells it reads, and an ``*_np`` twin making the array kernel,
+# called by the first batch at or above ``_ARRAY_MIN`` (_array_path).
 def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
-    shared, left_key, right_key, right_extra = _join_layout(
-        node.left.columns, node.right.columns
-    )
-    header = node.columns
-    arity = len(header)
-    larity = len(node.left.columns)
-    rarity = len(node.right.columns)
-    use_np = _np is not None
+    left_cols, right_cols = node.left.columns, node.right.columns
+    shared, left_key, right_key, right_extra = _join_layout(left_cols, right_cols)
+    sizes = (len(left_cols), len(right_cols), len(node.columns))
+    if not shared:
+        fn = _vjoin_cross(*sizes)
+    elif not right_extra:
+        fn = _vjoin_filter(children[1], shared, left_key, right_key, *sizes)
+    else:
+        fn = _vjoin_hash(children, left_key, right_key, right_extra, *sizes)
+    return _Unit(fn=fn, children=children, key=key, header=node.columns)
+
+
+def _vjoin_cross(larity: int, rarity: int, arity: int) -> Callable:
+    arrays = _array_path(_vjoin_cross_np, larity, rarity, arity)
     trace = (arity,)
 
-    if not shared:
-        if use_np:
+    def run_cross(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        lrows = _to_rows(lbatch[1], ln)
+        rrows = _to_rows(rbatch[1], rn)
+        out = [lrow + rrow for lrow in lrows for rrow in rrows]
+        cardinality = ln * rn
+        stats.record_bulk(
+            1, 0, 0, 0, cardinality, cardinality, cardinality,
+            arity, ln + rn + cardinality, trace,
+        )
+        return cardinality, out
 
-            def run_cross_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln, rn = lbatch[0], rbatch[0]
-                lcols = _to_cols(lbatch, larity)
-                rcols = _to_cols(rbatch, rarity)
-                cardinality = ln * rn
-                out = tuple(_np.repeat(col, rn) for col in lcols) + tuple(
-                    _np.tile(col, ln) for col in rcols
-                )
-                stats.record_bulk(
-                    1, 0, 0, 0, cardinality, cardinality, cardinality,
-                    arity, ln + rn + cardinality, trace,
-                )
-                return cardinality, out
+    return run_cross
 
-        def run_cross(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                return run_cross_np(stats, lbatch, rbatch)
-            lrows = _to_rows(lbatch[1], ln)
-            rrows = _to_rows(rbatch[1], rn)
-            out = [lrow + rrow for lrow in lrows for rrow in rrows]
-            cardinality = ln * rn
-            stats.record_bulk(
-                1, 0, 0, 0, cardinality, cardinality, cardinality,
-                arity, ln + rn + cardinality, trace,
+
+def _vjoin_cross_np(larity: int, rarity: int, arity: int) -> Callable:
+    trace = (arity,)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        lcols = _to_cols(lbatch, larity)
+        rcols = _to_cols(rbatch, rarity)
+        cardinality = ln * rn
+        out = tuple(_np.repeat(col, rn) for col in lcols) + tuple(
+            _np.tile(col, ln) for col in rcols
+        )
+        stats.record_bulk(
+            1, 0, 0, 0, cardinality, cardinality, cardinality,
+            arity, ln + rn + cardinality, trace,
+        )
+        return cardinality, out
+
+    return run_np
+
+
+def _vjoin_filter(runit, shared, left_key, right_key, larity, rarity, arity):
+    """Semijoin-shaped join: the output is the matching left rows."""
+    lkey = _key_extractor(left_key)
+    lookup = _vsemijoin_lookup(runit, shared, right_key)
+    arrays = _array_path(
+        _vjoin_filter_np, runit, left_key, right_key, larity, rarity, arity
+    )
+    trace = (arity,)
+
+    def run_filter_join(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        if ln and rn:
+            keys = lookup(rbatch)
+            out = [
+                lrow
+                for lrow in _to_rows(lbatch[1], ln)
+                if lkey(lrow) in keys
+            ]
+            cardinality = len(out)
+            if cardinality == ln:
+                out = lbatch[1]  # nothing filtered: reuse the payload
+        else:
+            cardinality = 0
+            out = lbatch[1] if ln == 0 else []
+        stats.record_bulk(
+            1, 0, 0, 0, cardinality, cardinality, cardinality,
+            arity, ln + rn + cardinality, trace,
+        )
+        return cardinality, out
+
+    return run_filter_join
+
+
+def _vjoin_filter_np(runit, left_key, right_key, larity, rarity, arity):
+    nplookup = _npsemijoin_lookup(runit, right_key, rarity)
+    trace = (arity,)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            cardinality = int(mask.sum())
+            out = (
+                lbatch[1]  # nothing filtered: reuse the payload
+                if cardinality == ln
+                else tuple(col[mask] for col in lcols)
             )
-            return cardinality, out
+        else:
+            cardinality = 0
+            out = lbatch[1] if ln == 0 else []
+        stats.record_bulk(
+            1, 0, 0, 0, cardinality, cardinality, cardinality,
+            arity, ln + rn + cardinality, trace,
+        )
+        return cardinality, out
 
-        return _Unit(fn=run_cross, children=children, key=key, header=header)
+    return run_np
 
-    if not right_extra:
-        # Semijoin-shaped join: the output is the matching left rows.
-        lkey = _key_extractor(left_key)
-        lookup = _vsemijoin_lookup(children[1], shared, right_key)
-        if use_np:
-            nplookup = _npsemijoin_lookup(children[1], right_key, rarity)
 
-            def run_filter_join_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln, rn = lbatch[0], rbatch[0]
-                if ln and rn:
-                    lcols = _to_cols(lbatch, larity)
-                    mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
-                    cardinality = int(mask.sum())
-                    out = (
-                        lbatch[1]  # nothing filtered: reuse the payload
-                        if cardinality == ln
-                        else tuple(col[mask] for col in lcols)
-                    )
-                else:
-                    cardinality = 0
-                    out = lbatch[1] if ln == 0 else []
-                stats.record_bulk(
-                    1, 0, 0, 0, cardinality, cardinality, cardinality,
-                    arity, ln + rn + cardinality, trace,
-                )
-                return cardinality, out
-
-        def run_filter_join(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                return run_filter_join_np(stats, lbatch, rbatch)
-            if ln and rn:
-                keys = lookup(rbatch)
-                out = [
-                    lrow
-                    for lrow in _to_rows(lbatch[1], ln)
-                    if lkey(lrow) in keys
-                ]
-                cardinality = len(out)
-                if cardinality == ln:
-                    out = lbatch[1]  # nothing filtered: reuse the payload
-            else:
-                cardinality = 0
-                out = lbatch[1] if ln == 0 else []
-            stats.record_bulk(
-                1, 0, 0, 0, cardinality, cardinality, cardinality,
-                arity, ln + rn + cardinality, trace,
-            )
-            return cardinality, out
-
-        return _Unit(fn=run_filter_join, children=children, key=key, header=header)
-
+def _vjoin_hash(children, left_key, right_key, right_extra, larity, rarity, arity):
+    lunit, runit = children
     lkey = _key_extractor(left_key)
     rkey = _key_extractor(right_key)
     rext = _tuple_extractor(right_extra)
     # Which side the row path indexes: a scan unit's, whose index is
     # then kept until its relation is written (the right one when both
-    # are), else the smaller side of each execution.
-    right_scan = children[1].bound is not None
-    left_scan = not right_scan and children[0].bound is not None
-
-    rindex = _kept(
-        children[1], lambda rbatch: _bucket(_batch_rows(rbatch), rkey, rext)
+    # are), else the smaller side of each execution.  Only the indexes
+    # that choice can pick are made.
+    rindex = lindex = None
+    if runit.bound is not None or lunit.bound is None:
+        rindex = _kept(runit, lambda rbatch: _bucket(_batch_rows(rbatch), rkey, rext))
+    if runit.bound is None:
+        lindex = _kept(lunit, lambda lbatch: _bucket(_batch_rows(lbatch), lkey))
+    arrays = _array_path(
+        _vjoin_hash_np, runit, left_key, right_key, right_extra, larity, rarity, arity
     )
-    lindex = _kept(children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey))
-    if use_np:
-        np_rindex = (
-            _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
-            if right_scan
-            else None
-        )
-
-        def run_join_np(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if ln and rn:
-                lcols = _to_cols(lbatch, larity)
-                rcols = _to_cols(rbatch, rarity)
-                lkeys = _npkeys(lcols, left_key)
-                if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
-                else:
-                    lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
-                cardinality = len(lidx)
-                out = tuple(col[lidx] for col in lcols) + tuple(
-                    rcols[p][ridx] for p in right_extra
-                )
-            else:
-                cardinality = 0
-                out = []
-            stats.record_bulk(
-                1, 0, 0, 0, cardinality, cardinality, cardinality,
-                arity, ln + rn + cardinality, trace,
-            )
-            return cardinality, out
+    trace = (arity,)
 
     def run_join(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
         ln, rn = lbatch[0], rbatch[0]
-        if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-            return run_join_np(stats, lbatch, rbatch)
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
         out: list[tuple] = []
         append = out.append
-        if right_scan or not (left_scan or ln <= rn):
+        if lindex is None or (rindex is not None and ln > rn):
             get = rindex(rbatch).get
             for lrow in _to_rows(lbatch[1], ln):
                 bucket = get(lkey(lrow))
@@ -1461,20 +1482,50 @@ def _vcompile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit
         )
         return cardinality, out
 
-    return _Unit(fn=run_join, children=children, key=key, header=header)
+    return run_join
+
+
+def _vjoin_hash_np(runit, left_key, right_key, right_extra, larity, rarity, arity):
+    np_rindex = (
+        _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
+        if runit.bound is not None
+        else None
+    )
+    trace = (arity,)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            rcols = _to_cols(rbatch, rarity)
+            lkeys = _npkeys(lcols, left_key)
+            if np_rindex is not None:
+                lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
+            else:
+                lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
+            cardinality = len(lidx)
+            out = tuple(col[lidx] for col in lcols) + tuple(
+                rcols[p][ridx] for p in right_extra
+            )
+        else:
+            cardinality = 0
+            out = []
+        stats.record_bulk(
+            1, 0, 0, 0, cardinality, cardinality, cardinality,
+            arity, ln + rn + cardinality, trace,
+        )
+        return cardinality, out
+
+    return run_np
 
 
 def _vcompile_semijoin(
     node: Semijoin, key: tuple, children: tuple[_Unit, ...]
 ) -> _Unit:
-    shared, left_key, right_key, _ = _join_layout(
-        node.left.columns, node.right.columns
-    )
+    left_cols, right_cols = node.left.columns, node.right.columns
+    shared, left_key, right_key, _ = _join_layout(left_cols, right_cols)
     header = node.columns
     arity = len(header)
-    larity = len(node.left.columns)
-    rarity = len(node.right.columns)
-    use_np = _np is not None
     trace = (arity,)
 
     if not shared:
@@ -1491,31 +1542,15 @@ def _vcompile_semijoin(
 
     lkey = _key_extractor(left_key)
     lookup = _vsemijoin_lookup(children[1], shared, right_key)
-    if use_np:
-        nplookup = _npsemijoin_lookup(children[1], right_key, rarity)
-
-        def run_semijoin_np(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if ln and rn:
-                lcols = _to_cols(lbatch, larity)
-                mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
-                matched = int(mask.sum())
-                if matched == ln:
-                    stats.record_bulk(0, 1, 0, 0, ln, 0, ln, arity, 0, trace)
-                    return lbatch  # nothing filtered: reuse the input batch
-                stats.record_bulk(
-                    0, 1, 0, 0, matched, matched, matched, arity, 0, trace
-                )
-                return matched, tuple(col[mask] for col in lcols)
-            stats.record_bulk(0, 1, 0, 0, 0, 0, 0, arity, 0, trace)
-            return lbatch if ln == 0 else (0, [])
+    arrays = _array_path(
+        _vsemijoin_np, children[1], left_key, right_key,
+        len(left_cols), len(right_cols), arity,
+    )
 
     def run_semijoin(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
         ln, rn = lbatch[0], rbatch[0]
-        if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-            return run_semijoin_np(stats, lbatch, rbatch)
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
         if ln and rn:
             keys = lookup(rbatch)
             out = [
@@ -1533,363 +1568,365 @@ def _vcompile_semijoin(
     return _Unit(fn=run_semijoin, children=children, key=key, header=header)
 
 
+def _vsemijoin_np(runit, left_key, right_key, larity, rarity, arity):
+    nplookup = _npsemijoin_lookup(runit, right_key, rarity)
+    trace = (arity,)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            matched = int(mask.sum())
+            if matched == ln:
+                stats.record_bulk(0, 1, 0, 0, ln, 0, ln, arity, 0, trace)
+                return lbatch  # nothing filtered: reuse the input batch
+            stats.record_bulk(
+                0, 1, 0, 0, matched, matched, matched, arity, 0, trace
+            )
+            return matched, tuple(col[mask] for col in lcols)
+        stats.record_bulk(0, 1, 0, 0, 0, 0, 0, arity, 0, trace)
+        return lbatch if ln == 0 else (0, [])
+
+    return run_np
+
+
+@lru_cache(maxsize=1024)
+def _fused_finish(join: bool, inner_arity: int, out_arity: int) -> Callable:
+    """Stats of a projection fused over a join or a semijoin: the two
+    nodes, in the interpreter's post-order, folded into one bulk update
+    (the inner node with its unbuilt output, then the projection with
+    its built one).  ``finish(stats, ln, rn, inner, out_card)`` takes the
+    inner node's cardinality — the wide join's, or the semijoin's
+    matches — and is static in its three arguments, so one closure
+    serves every unit of the same shape."""
+    joins, semis = (1, 0) if join else (0, 1)
+    max_arity = inner_arity if inner_arity > out_arity else out_arity
+    trace = (inner_arity, out_arity)
+
+    def finish(
+        stats: ExecutionStats, ln: int, rn: int, inner: int, out_card: int
+    ) -> None:
+        stats.record_bulk(
+            joins, semis, 1, 0,
+            inner + out_card, out_card,
+            inner if inner > out_card else out_card,
+            max_arity, ln + rn + inner if join else 0, trace,
+        )
+
+    return finish
+
+
+def _pair_layout(spec: list[tuple[str, int]], right_extra: tuple[int, ...]):
+    """How a fused projection that keeps right-hand columns emits: from
+    (projected-left, projected-extra) row pairs.  Returns the positions
+    each side projects, the pair emitter — ``None`` for a concat-shaped
+    projection (all kept left columns, then all kept extras, each in
+    order), whose row is plain ``lt + et`` — and the spec rewritten to
+    side ordinals."""
+    sides = "".join(side for side, _ in spec)
+    ordinals = [(side, sides[:i].count(side)) for i, side in enumerate(sides)]
+    lproj = tuple(index for side, index in spec if side == "l")
+    eproj = tuple(right_extra[index] for side, index in spec if side == "e")
+    emit = None if "el" not in sides else _pair_emitter(ordinals)
+    return lproj, eproj, emit, ordinals
+
+
 def _vcompile_project_join(
     node: Project, key: tuple, children: tuple[_Unit, ...]
 ) -> _Unit:
     join = node.child
     assert isinstance(join, Join)
-    left_cols = join.left.columns
-    right_cols = join.right.columns
+    left_cols, right_cols = join.left.columns, join.right.columns
     shared, left_key, right_key, right_extra = _join_layout(left_cols, right_cols)
-    shared_set = set(shared)
-    extra_cols = tuple(name for name in right_cols if name not in shared_set)
-    wide_arity = len(join.columns)
     header = node.columns
-    out_arity = len(header)
-    larity = len(left_cols)
-    rarity = len(right_cols)
-    use_np = _np is not None
-
-    spec = _project_spec(header, left_cols, extra_cols)
-    left_only = all(side == "l" for side, _ in spec)
-    left_positions = tuple(index for _, index in spec)
-    # Candidates are emitted from (projected-left, projected-extra) row
-    # pairs; ``spec_ord`` rewrites each spec index to its side ordinal.
-    lproj = tuple(index for side, index in spec if side == "l")
-    eproj = tuple(right_extra[index] for side, index in spec if side == "e")
-    ordinals: list[tuple[str, int]] = []
-    lcount = ecount = 0
-    for side, _ in spec:
-        if side == "l":
-            ordinals.append(("l", lcount))
-            lcount += 1
-        else:
-            ordinals.append(("e", ecount))
-            ecount += 1
-    spec_ord = tuple(ordinals)
-    # Concat-shaped projection (all kept left columns, in order, then
-    # all kept extras, in order): the emitted row is plain ``lt + et``,
-    # which the hot pair loops use directly instead of a generated
-    # per-pair lambda call.
-    concat = spec_ord == tuple(
-        [("l", i) for i in range(lcount)] + [("e", i) for i in range(ecount)]
+    spec = _project_spec(
+        header, left_cols, tuple(right_cols[p] for p in right_extra)
     )
-
-    pj_max_arity = wide_arity if wide_arity > out_arity else out_arity
-    pj_trace = (wide_arity, out_arity)
-
-    def finish(
-        stats: ExecutionStats, ln: int, rn: int, wide: int, out_card: int
-    ) -> None:
-        # Same two fused nodes, same post-order as _compile_project_join,
-        # folded into one bulk update (join + unbuilt wide output, then
-        # projection + built output).
-        stats.record_bulk(
-            1, 0, 1, 0,
-            wide + out_card, out_card,
-            wide if wide > out_card else out_card,
-            pj_max_arity, ln + rn + wide, pj_trace,
-        )
-
-    if not shared:
-        if left_only:
-            eml = _tuple_extractor(left_positions)
-            if use_np:
-
-                def run_cross_left_np(
-                    stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-                ) -> Batch:
-                    ln, rn = lbatch[0], rbatch[0]
-                    if ln and rn:
-                        lcols = _to_cols(lbatch, larity)
-                        out = _npdistinct_cols(
-                            tuple(lcols[p] for p in left_positions), ln
-                        )
-                    else:
-                        out = 0, []
-                    finish(stats, ln, rn, ln * rn, out[0])
-                    return out
-
-            def run_cross_left(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln, rn = lbatch[0], rbatch[0]
-                if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                    return run_cross_left_np(stats, lbatch, rbatch)
-                if ln and rn:
-                    distinct = list(
-                        dict.fromkeys(map(eml, _to_rows(lbatch[1], ln)))
-                    )
-                    out = len(distinct), distinct
-                else:
-                    out = 0, []
-                finish(stats, ln, rn, ln * rn, out[0])
-                return out
-
-            return _Unit(
-                fn=run_cross_left, children=children, key=key, header=header
+    sizes = (len(left_cols), len(right_cols))
+    finish = _fused_finish(True, len(join.columns), len(header))
+    if any(side == "e" for side, _ in spec):
+        if not shared:
+            fn = _vpj_cross(children[1], spec, right_extra, *sizes, finish)
+        else:
+            fn = _vpj_hash(
+                children, spec, left_key, right_key, right_extra, *sizes, finish
             )
+    else:
+        positions = tuple(index for _, index in spec)
+        if not shared:
+            fn = _vpj_cross_left(positions, sizes[0], finish)
+        elif not right_extra:
+            fn = _vpj_filter(
+                children[1], shared, left_key, right_key, positions, *sizes, finish
+            )
+        else:
+            fn = _vpj_left(children, left_key, right_key, positions, *sizes, finish)
+    return _Unit(fn=fn, children=children, key=key, header=header)
 
-        emlp = _tuple_extractor(lproj)
-        emep = _tuple_extractor(eproj)
-        emit = _pair_emitter(spec_ord)
-        eset_of = _kept(
-            children[1],
-            lambda rbatch: dict.fromkeys(map(emep, _batch_rows(rbatch))),
-        )
-        if use_np:
 
-            def run_cross_project_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                # π(L × R) = π_l(L) × π_e(R): dedup each side and cross
-                # the distinct sides — concatenations of distinct
-                # fixed-arity tuples are distinct, so no global dedup
-                # and never a wide materialization.
-                ln, rn = lbatch[0], rbatch[0]
-                if ln and rn:
-                    lcols = _to_cols(lbatch, larity)
-                    rcols = _to_cols(rbatch, rarity)
-                    lcard, lu = _npdistinct_cols(
-                        tuple(lcols[p] for p in lproj), ln
-                    )
-                    ecard, eu = _npdistinct_cols(
-                        tuple(rcols[p] for p in eproj), rn
-                    )
-                    out_cols = tuple(
-                        _np.repeat(lu[o], ecard)
-                        if side == "l"
-                        else _np.tile(eu[o], lcard)
-                        for side, o in spec_ord
-                    )
-                    out = lcard * ecard, out_cols
-                else:
-                    out = 0, []
-                finish(stats, ln, rn, ln * rn, out[0])
-                return out
+def _vpj_cross_left(positions, larity, finish):
+    """Cross product under a projection keeping left columns only."""
+    eml = _tuple_extractor(positions)
+    arrays = _array_path(_vpj_cross_left_np, positions, larity, finish)
 
-        def run_cross_project(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                return run_cross_project_np(stats, lbatch, rbatch)
-            if ln and rn:
-                # π(L × R) = π_l(L) × π_e(R): concatenations of distinct
-                # fixed-arity tuples are distinct, so no global dedup.
-                lset = dict.fromkeys(map(emlp, _to_rows(lbatch[1], ln)))
-                eset = eset_of(rbatch)
-                if concat:
-                    out_rows = [lt + et for lt in lset for et in eset]
-                else:
-                    out_rows = [emit(lt, et) for lt in lset for et in eset]
-                out = len(out_rows), out_rows
-            else:
-                out = 0, []
-            finish(stats, ln, rn, ln * rn, out[0])
-            return out
+    def run_cross_left(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        if ln and rn:
+            distinct = list(dict.fromkeys(map(eml, _to_rows(lbatch[1], ln))))
+            out = len(distinct), distinct
+        else:
+            out = 0, []
+        finish(stats, ln, rn, ln * rn, out[0])
+        return out
 
-        return _Unit(
-            fn=run_cross_project, children=children, key=key, header=header
-        )
+    return run_cross_left
 
-    lkey = _key_extractor(left_key)
 
-    if not right_extra:
-        # Semijoin-shaped join under a projection: filter and project in
-        # one pass, deduplicating only the surviving projected rows.
-        eml = _tuple_extractor(left_positions)
-        lookup = _vsemijoin_lookup(children[1], shared, right_key)
-        if use_np:
-            nplookup = _npsemijoin_lookup(children[1], right_key, rarity)
+def _vpj_cross_left_np(positions, larity, finish):
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            out = _npdistinct_cols(tuple(lcols[p] for p in positions), ln)
+        else:
+            out = 0, []
+        finish(stats, ln, rn, ln * rn, out[0])
+        return out
 
-            def run_filter_project_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln, rn = lbatch[0], rbatch[0]
-                if ln and rn:
-                    lcols = _to_cols(lbatch, larity)
-                    mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
-                    wide = int(mask.sum())
-                    out = _npdistinct_cols(
-                        tuple(lcols[p][mask] for p in left_positions), wide
-                    )
-                else:
-                    wide = 0
-                    out = 0, []
-                finish(stats, ln, rn, wide, out[0])
-                return out
+    return run_np
 
-        def run_filter_project(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                return run_filter_project_np(stats, lbatch, rbatch)
-            wide = 0
-            cand: dict = {}
-            if ln and rn:
-                keys = lookup(rbatch)
-                for lrow in _to_rows(lbatch[1], ln):
-                    if lkey(lrow) in keys:
-                        wide += 1
-                        cand[eml(lrow)] = None
-            out_rows = list(cand)
-            finish(stats, ln, rn, wide, len(out_rows))
-            return len(out_rows), out_rows
 
-        return _Unit(
-            fn=run_filter_project, children=children, key=key, header=header
-        )
-
-    rkey = _key_extractor(right_key)
-    # A scan-unit left side under a dynamic right one (the bucket-method
-    # towers) is the side the row path indexes: bucketed by key once per
-    # version of its relation, with the dynamic right rows streamed
-    # through — no per-execution index build at all.
-    right_scan = children[1].bound is not None
-    left_scan = not right_scan and children[0].bound is not None
-
-    if left_only:
-        # No right-hand column survives the projection: one candidate
-        # output row per matching left row, while the wide cardinality is
-        # the sum of right key multiplicities (right rows are distinct,
-        # so each key's extras are distinct — the multiplicity is counted
-        # without ever expanding a pair).
-        eml = _tuple_extractor(left_positions)
-        counts_of = _kept(
-            children[1], lambda rbatch: Counter(map(rkey, _batch_rows(rbatch)))
-        )
-
-        lbuckets_left = _kept(
-            children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey, eml)
-        )
-        if use_np:
-            np_rsorted = _npsemijoin_lookup(children[1], right_key, rarity)
-
-            def run_project_join_left_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln, rn = lbatch[0], rbatch[0]
-                if ln and rn:
-                    lcols = _to_cols(lbatch, larity)
-                    rsorted = np_rsorted(rbatch)
-                    lkeys = _npkeys(lcols, left_key)
-                    lo = _np.searchsorted(rsorted, lkeys, side="left")
-                    hi = _np.searchsorted(rsorted, lkeys, side="right")
-                    counts = hi - lo
-                    wide = int(counts.sum())
-                    mask = counts > 0
-                    out = _npdistinct_cols(
-                        tuple(lcols[p][mask] for p in left_positions),
-                        int(mask.sum()),
-                    )
-                else:
-                    wide = 0
-                    out = 0, []
-                finish(stats, ln, rn, wide, out[0])
-                return out
-
-        def run_project_join_left(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-                return run_project_join_left_np(stats, lbatch, rbatch)
-            wide = 0
-            cand: dict = {}
-            if ln and rn:
-                if left_scan:
-                    lget = lbuckets_left(lbatch).get
-                    added: set = set()
-                    add = added.add
-                    for rrow in _to_rows(rbatch[1], rn):
-                        k = rkey(rrow)
-                        bucket = lget(k)
-                        if bucket is not None:
-                            wide += len(bucket)
-                            if k not in added:
-                                add(k)
-                                for lt in bucket:
-                                    cand[lt] = None
-                else:
-                    get = counts_of(rbatch).get
-                    for lrow in _to_rows(lbatch[1], ln):
-                        c = get(lkey(lrow))
-                        if c:
-                            wide += c
-                            cand[eml(lrow)] = None
-            out_rows = list(cand)
-            finish(stats, ln, rn, wide, len(out_rows))
-            return len(out_rows), out_rows
-
-        return _Unit(
-            fn=run_project_join_left, children=children, key=key, header=header
-        )
-
+def _vpj_cross(runit, spec, right_extra, larity, rarity, finish):
+    """Cross product under a projection keeping right columns:
+    π(L × R) = π_l(L) × π_e(R).  Concatenations of distinct fixed-arity
+    tuples are distinct, so the two deduplicated sides are crossed with
+    no global dedup and never a wide materialization."""
+    lproj, eproj, emit, ordinals = _pair_layout(spec, right_extra)
     emlp = _tuple_extractor(lproj)
     emep = _tuple_extractor(eproj)
-    emit = _pair_emitter(spec_ord)
-    # Both indexes bucket *projected* rows by key, duplicates kept: a
-    # bucket's length is its key's multiplicity on that side (rows are
-    # distinct before projection), which is what the wide join
-    # cardinality sums.
-    lbuckets_of = _kept(
-        children[0], lambda lbatch: _bucket(_batch_rows(lbatch), lkey, emlp)
+    eset_of = _kept(
+        runit, lambda rbatch: dict.fromkeys(map(emep, _batch_rows(rbatch)))
     )
-    rbuckets_of = _kept(
-        children[1], lambda rbatch: _bucket(_batch_rows(rbatch), rkey, emep)
+    arrays = _array_path(
+        _vpj_cross_np, lproj, eproj, ordinals, larity, rarity, finish
     )
-    if use_np:
-        np_rindex = (
-            _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
-            if right_scan
-            else None
-        )
 
-        def run_project_join_np(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if ln and rn:
-                lcols = _to_cols(lbatch, larity)
-                rcols = _to_cols(rbatch, rarity)
-                lkeys = _npkeys(lcols, left_key)
-                if np_rindex is not None:
-                    lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
-                else:
-                    lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
-                wide = len(lidx)
-                wide_cols = tuple(
-                    lcols[i][lidx]
-                    if side == "l"
-                    else rcols[right_extra[i]][ridx]
-                    for side, i in spec
-                )
-                out = _npdistinct_cols(wide_cols, wide)
+    def run_cross_project(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        if ln and rn:
+            lset = dict.fromkeys(map(emlp, _to_rows(lbatch[1], ln)))
+            eset = eset_of(rbatch)
+            if emit is None:
+                out_rows = [lt + et for lt in lset for et in eset]
             else:
-                wide = 0
-                out = 0, []
-            finish(stats, ln, rn, wide, out[0])
-            return out
+                out_rows = [emit(lt, et) for lt in lset for et in eset]
+            out = len(out_rows), out_rows
+        else:
+            out = 0, []
+        finish(stats, ln, rn, ln * rn, out[0])
+        return out
 
-    def run_project_join(
+    return run_cross_project
+
+
+def _vpj_cross_np(lproj, eproj, ordinals, larity, rarity, finish):
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            rcols = _to_cols(rbatch, rarity)
+            lcard, lu = _npdistinct_cols(tuple(lcols[p] for p in lproj), ln)
+            ecard, eu = _npdistinct_cols(tuple(rcols[p] for p in eproj), rn)
+            out_cols = tuple(
+                _np.repeat(lu[o], ecard) if side == "l" else _np.tile(eu[o], lcard)
+                for side, o in ordinals
+            )
+            out = lcard * ecard, out_cols
+        else:
+            out = 0, []
+        finish(stats, ln, rn, ln * rn, out[0])
+        return out
+
+    return run_np
+
+
+def _vpj_filter(runit, shared, left_key, right_key, positions, larity, rarity, finish):
+    """Semijoin-shaped join under a projection: filter and project in
+    one pass, deduplicating only the surviving projected rows."""
+    lkey = _key_extractor(left_key)
+    eml = _tuple_extractor(positions)
+    lookup = _vsemijoin_lookup(runit, shared, right_key)
+    arrays = _array_path(
+        _vpj_filter_np, runit, left_key, right_key, positions, larity, rarity, finish
+    )
+
+    def run_filter_project(
         stats: ExecutionStats, lbatch: Batch, rbatch: Batch
     ) -> Batch:
-        # Probe a key -> projected-extras bucket index and emit the
-        # projected pair straight into the candidate dict: the wide join
-        # result is counted (bucket lengths are key multiplicities) but
-        # never materialized.  A scan-unit child's index is kept, so
-        # the steady-state cost is the probe loop alone.
         ln, rn = lbatch[0], rbatch[0]
-        if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-            return run_project_join_np(stats, lbatch, rbatch)
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
         wide = 0
         cand: dict = {}
         if ln and rn:
-            if left_scan:
+            keys = lookup(rbatch)
+            for lrow in _to_rows(lbatch[1], ln):
+                if lkey(lrow) in keys:
+                    wide += 1
+                    cand[eml(lrow)] = None
+        out_rows = list(cand)
+        finish(stats, ln, rn, wide, len(out_rows))
+        return len(out_rows), out_rows
+
+    return run_filter_project
+
+
+def _vpj_filter_np(runit, left_key, right_key, positions, larity, rarity, finish):
+    nplookup = _npsemijoin_lookup(runit, right_key, rarity)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            wide = int(mask.sum())
+            out = _npdistinct_cols(tuple(lcols[p][mask] for p in positions), wide)
+        else:
+            wide = 0
+            out = 0, []
+        finish(stats, ln, rn, wide, out[0])
+        return out
+
+    return run_np
+
+
+def _vpj_left(children, left_key, right_key, positions, larity, rarity, finish):
+    """No right-hand column survives the projection: one candidate
+    output row per matching left row, while the wide cardinality is the
+    sum of right key multiplicities (right rows are distinct, so each
+    key's extras are distinct — the multiplicity is counted without ever
+    expanding a pair).  A scan-unit left side under a dynamic right one
+    (the bucket-method towers) is the side the row path indexes, once
+    per version of its relation, with the right rows streamed through."""
+    lunit, runit = children
+    lkey = _key_extractor(left_key)
+    rkey = _key_extractor(right_key)
+    eml = _tuple_extractor(positions)
+    lbuckets = counts_of = None
+    if runit.bound is None and lunit.bound is not None:
+        lbuckets = _kept(lunit, lambda lbatch: _bucket(_batch_rows(lbatch), lkey, eml))
+    else:
+        counts_of = _kept(
+            runit, lambda rbatch: Counter(map(rkey, _batch_rows(rbatch)))
+        )
+    arrays = _array_path(
+        _vpj_left_np, runit, left_key, right_key, positions, larity, rarity, finish
+    )
+
+    def run_project_join_left(
+        stats: ExecutionStats, lbatch: Batch, rbatch: Batch
+    ) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        wide = 0
+        cand: dict = {}
+        if ln and rn:
+            if lbuckets is not None:
+                lget = lbuckets(lbatch).get
+                added: set = set()
+                add = added.add
+                for rrow in _to_rows(rbatch[1], rn):
+                    k = rkey(rrow)
+                    bucket = lget(k)
+                    if bucket is not None:
+                        wide += len(bucket)
+                        if k not in added:
+                            add(k)
+                            for lt in bucket:
+                                cand[lt] = None
+            else:
+                get = counts_of(rbatch).get
+                for lrow in _to_rows(lbatch[1], ln):
+                    c = get(lkey(lrow))
+                    if c:
+                        wide += c
+                        cand[eml(lrow)] = None
+        out_rows = list(cand)
+        finish(stats, ln, rn, wide, len(out_rows))
+        return len(out_rows), out_rows
+
+    return run_project_join_left
+
+
+def _vpj_left_np(runit, left_key, right_key, positions, larity, rarity, finish):
+    np_rsorted = _npsemijoin_lookup(runit, right_key, rarity)
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            rsorted = np_rsorted(rbatch)
+            lkeys = _npkeys(lcols, left_key)
+            lo = _np.searchsorted(rsorted, lkeys, side="left")
+            hi = _np.searchsorted(rsorted, lkeys, side="right")
+            counts = hi - lo
+            wide = int(counts.sum())
+            mask = counts > 0
+            out = _npdistinct_cols(
+                tuple(lcols[p][mask] for p in positions), int(mask.sum())
+            )
+        else:
+            wide = 0
+            out = 0, []
+        finish(stats, ln, rn, wide, out[0])
+        return out
+
+    return run_np
+
+
+def _vpj_hash(children, spec, left_key, right_key, right_extra, larity, rarity, finish):
+    """Probe a key -> projected-rows bucket index and emit the projected
+    pair straight into the candidate dict: the wide join result is
+    counted (bucket lengths are key multiplicities — rows are distinct
+    before projection, and buckets keep duplicates) but never
+    materialized.  The indexed side is a scan unit's when the left one
+    is the only scan unit (see :func:`_vpj_left`), else the right."""
+    lunit, runit = children
+    lproj, eproj, emit, _ = _pair_layout(spec, right_extra)
+    lkey = _key_extractor(left_key)
+    rkey = _key_extractor(right_key)
+    emlp = _tuple_extractor(lproj)
+    emep = _tuple_extractor(eproj)
+    lbuckets_of = rbuckets_of = None
+    if runit.bound is None and lunit.bound is not None:
+        lbuckets_of = _kept(
+            lunit, lambda lbatch: _bucket(_batch_rows(lbatch), lkey, emlp)
+        )
+    else:
+        rbuckets_of = _kept(
+            runit, lambda rbatch: _bucket(_batch_rows(rbatch), rkey, emep)
+        )
+    arrays = _array_path(
+        _vpj_hash_np, runit, spec, left_key, right_key, right_extra,
+        larity, rarity, finish,
+    )
+
+    def run_project_join(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            return arrays(stats, lbatch, rbatch)
+        wide = 0
+        cand: dict = {}
+        if ln and rn:
+            if lbuckets_of is not None:
                 lget = lbuckets_of(lbatch).get
-                if concat:
+                if emit is None:
                     for rrow in _to_rows(rbatch[1], rn):
                         bucket = lget(rkey(rrow))
                         if bucket is not None:
@@ -1909,7 +1946,7 @@ def _vcompile_project_join(
                 finish(stats, ln, rn, wide, len(out_rows))
                 return len(out_rows), out_rows
             rget = rbuckets_of(rbatch).get
-            if concat:
+            if emit is None:
                 for lrow in _to_rows(lbatch[1], ln):
                     bucket = rget(lkey(lrow))
                     if bucket is not None:
@@ -1929,117 +1966,98 @@ def _vcompile_project_join(
         finish(stats, ln, rn, wide, len(out_rows))
         return len(out_rows), out_rows
 
-    return _Unit(fn=run_project_join, children=children, key=key, header=header)
+    return run_project_join
+
+
+def _vpj_hash_np(runit, spec, left_key, right_key, right_extra, larity, rarity, finish):
+    np_rindex = (
+        _cell(lambda rbatch: _npjoin_index(rbatch, right_key, rarity))
+        if runit.bound is not None
+        else None
+    )
+
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if ln and rn:
+            lcols = _to_cols(lbatch, larity)
+            rcols = _to_cols(rbatch, rarity)
+            lkeys = _npkeys(lcols, left_key)
+            if np_rindex is not None:
+                lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
+            else:
+                lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
+            wide = len(lidx)
+            wide_cols = tuple(
+                lcols[i][lidx] if side == "l" else rcols[right_extra[i]][ridx]
+                for side, i in spec
+            )
+            out = _npdistinct_cols(wide_cols, wide)
+        else:
+            wide = 0
+            out = 0, []
+        finish(stats, ln, rn, wide, out[0])
+        return out
+
+    return run_np
 
 
 def _vcompile_project_semijoin(
     node: Project, key: tuple, children: tuple[_Unit, ...]
 ) -> _Unit:
+    """The filter-shaped Project-over-Join kernels with a semijoin's
+    stats: the same pass over the left rows, minus a wide output."""
     semi = node.child
     assert isinstance(semi, Semijoin)
-    left_cols = semi.left.columns
-    shared, left_key, right_key, _ = _join_layout(left_cols, semi.right.columns)
-    semi_arity = len(semi.columns)
+    left_cols, right_cols = semi.left.columns, semi.right.columns
+    shared, left_key, right_key, _ = _join_layout(left_cols, right_cols)
     header = node.columns
-    out_arity = len(header)
-    larity = len(left_cols)
-    rarity = len(semi.right.columns)
     positions = tuple(left_cols.index(name) for name in header)
-    eml = _tuple_extractor(positions)
-    use_np = _np is not None
-
-    ps_max_arity = semi_arity if semi_arity > out_arity else out_arity
-    ps_trace = (semi_arity, out_arity)
-
-    def finish(stats: ExecutionStats, matched: int, out_card: int) -> None:
-        # Semijoin (unbuilt) + projection (built) as one bulk update.
-        stats.record_bulk(
-            0, 1, 1, 0,
-            matched + out_card, out_card,
-            matched if matched > out_card else out_card,
-            ps_max_arity, 0, ps_trace,
+    finish = _fused_finish(False, len(semi.columns), len(header))
+    if shared:
+        fn = _vpj_filter(
+            children[1], shared, left_key, right_key, positions,
+            len(left_cols), len(right_cols), finish,
         )
+    else:
+        fn = _vps_degenerate(positions, len(left_cols), finish)
+    return _Unit(fn=fn, children=children, key=key, header=header)
 
-    if not shared:
-        if use_np:
 
-            def run_degenerate_np(
-                stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-            ) -> Batch:
-                ln = lbatch[0]
-                if rbatch[0]:
-                    matched = ln
-                    lcols = _to_cols(lbatch, larity)
-                    out = _npdistinct_cols(
-                        tuple(lcols[p] for p in positions), ln
-                    )
-                else:
-                    matched = 0
-                    out = 0, []
-                finish(stats, matched, out[0])
-                return out
+def _vps_degenerate(positions, larity, finish):
+    eml = _tuple_extractor(positions)
+    arrays = _array_path(_vps_degenerate_np, positions, larity, finish)
 
-        def run_degenerate(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln = lbatch[0]
-            if use_np and ln >= _ARRAY_MIN:
-                return run_degenerate_np(stats, lbatch, rbatch)
-            if rbatch[0]:
-                matched = ln
-                distinct = list(dict.fromkeys(map(eml, _to_rows(lbatch[1], ln))))
-                out = len(distinct), distinct
-            else:
-                matched = 0
-                out = 0, []
-            finish(stats, matched, out[0])
-            return out
-
-        return _Unit(fn=run_degenerate, children=children, key=key, header=header)
-
-    lkey = _key_extractor(left_key)
-    lookup = _vsemijoin_lookup(children[1], shared, right_key)
-    if use_np:
-        nplookup = _npsemijoin_lookup(children[1], right_key, rarity)
-
-        def run_project_semijoin_np(
-            stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-        ) -> Batch:
-            ln, rn = lbatch[0], rbatch[0]
-            if ln and rn:
-                lcols = _to_cols(lbatch, larity)
-                mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
-                matched = int(mask.sum())
-                out = _npdistinct_cols(
-                    tuple(lcols[p][mask] for p in positions), matched
-                )
-            else:
-                matched = 0
-                out = 0, []
-            finish(stats, matched, out[0])
-            return out
-
-    def run_project_semijoin(
-        stats: ExecutionStats, lbatch: Batch, rbatch: Batch
-    ) -> Batch:
+    def run_degenerate(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
         ln, rn = lbatch[0], rbatch[0]
-        if use_np and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
-            return run_project_semijoin_np(stats, lbatch, rbatch)
-        matched = 0
-        cand: dict = {}
-        if ln and rn:
-            keys = lookup(rbatch)
-            for lrow in _to_rows(lbatch[1], ln):
-                if lkey(lrow) in keys:
-                    matched += 1
-                    cand[eml(lrow)] = None
-        out_rows = list(cand)
-        finish(stats, matched, len(out_rows))
-        return len(out_rows), out_rows
+        if arrays is not None and ln >= _ARRAY_MIN:
+            return arrays(stats, lbatch, rbatch)
+        if rn:
+            matched = ln
+            distinct = list(dict.fromkeys(map(eml, _to_rows(lbatch[1], ln))))
+            out = len(distinct), distinct
+        else:
+            matched = 0
+            out = 0, []
+        finish(stats, ln, rn, matched, out[0])
+        return out
 
-    return _Unit(
-        fn=run_project_semijoin, children=children, key=key, header=header
-    )
+    return run_degenerate
+
+
+def _vps_degenerate_np(positions, larity, finish):
+    def run_np(stats: ExecutionStats, lbatch: Batch, rbatch: Batch) -> Batch:
+        ln, rn = lbatch[0], rbatch[0]
+        if rn:
+            matched = ln
+            lcols = _to_cols(lbatch, larity)
+            out = _npdistinct_cols(tuple(lcols[p] for p in positions), ln)
+        else:
+            matched = 0
+            out = 0, []
+        finish(stats, ln, rn, matched, out[0])
+        return out
+
+    return run_np
 
 
 def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
@@ -2048,7 +2066,6 @@ def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) ->
     arity = len(header)
     carity = len(child_cols)
     positions = tuple(child_cols.index(name) for name in header)
-    use_np = _np is not None
     trace = (arity,)
 
     if positions == tuple(range(carity)):
@@ -2061,20 +2078,12 @@ def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) ->
         return _Unit(fn=run_identity, children=children, key=key, header=header)
 
     eml = _tuple_extractor(positions)
-    if use_np:
-
-        def run_project_np(stats: ExecutionStats, cbatch: Batch) -> Batch:
-            nrows = cbatch[0]
-            cols = _to_cols(cbatch, carity)
-            out = _npdistinct_cols(tuple(cols[p] for p in positions), nrows)
-            n = out[0]
-            stats.record_bulk(0, 0, 1, 0, n, n, n, arity, 0, trace)
-            return out
+    arrays = _array_path(_vproject_np, positions, carity, arity)
 
     def run_project(stats: ExecutionStats, cbatch: Batch) -> Batch:
         nrows = cbatch[0]
-        if use_np and nrows >= _ARRAY_MIN:
-            return run_project_np(stats, cbatch)
+        if arrays is not None and nrows >= _ARRAY_MIN:
+            return arrays(stats, cbatch)
         out_rows = list(dict.fromkeys(map(eml, _to_rows(cbatch[1], nrows))))
         n = len(out_rows)
         stats.record_bulk(0, 0, 1, 0, n, n, n, arity, 0, trace)
@@ -2083,18 +2092,33 @@ def _vcompile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) ->
     return _Unit(fn=run_project, children=children, key=key, header=header)
 
 
+def _vproject_np(positions, carity, arity):
+    trace = (arity,)
+
+    def run_np(stats: ExecutionStats, cbatch: Batch) -> Batch:
+        nrows = cbatch[0]
+        cols = _to_cols(cbatch, carity)
+        out = _npdistinct_cols(tuple(cols[p] for p in positions), nrows)
+        n = out[0]
+        stats.record_bulk(0, 0, 1, 0, n, n, n, arity, 0, trace)
+        return out
+
+    return run_np
+
+
 def _fold_scan(base: Relation) -> tuple:
     """:attr:`_Unit.bound` record of a zero-copy scan of ``base``: the
     batch is the base store's columns (no selection, and the scan's
-    columns are the base's in order, as in the row engine); below the
-    array threshold the row form is materialized once per version
-    instead."""
+    columns are the base's in order, as in the row engine) — its int64
+    arrays from the array threshold up, its row form below it, both
+    memoized on the store, so every zero-copy scan of one relation
+    shares one payload."""
     store = base.columnar()
     n = store.cardinality
     if _np is not None and n >= _ARRAY_MIN:
         payload: Any = store.arrays()
     else:
-        payload = list(zip(*store.codes)) if store.codes else [()] * n
+        payload = store.rows()
     return (n, payload), (n, 0, n)
 
 
@@ -2142,81 +2166,79 @@ def _fold_selection(constants, equalities, out_positions, base: Relation) -> tup
     return (matched, rows), (matched, matched, matched)
 
 
-def _scan_unit(
-    key: tuple,
-    header: tuple[str, ...],
-    bound: Callable[[], tuple],
-    trace: tuple[int, ...] | None = None,
-) -> _Unit:
-    """A vectorized scan unit.  ``trace`` — the arities of the scan and,
-    for a folded projection, of the projection over it (default: a bare
-    scan's) — is the static part of its stats; the batch and the
-    data-dependent part come from ``bound()`` (see :attr:`_Unit.bound`),
-    so one bulk update replays the unit's one or two events whatever
-    the catalog holds."""
-    if trace is None:
-        trace = (len(header),)
-    projections = len(trace) - 1
-    max_arity = max(trace)
+class _scan_cell(_cell):
+    """The :attr:`_Unit.bound` cell of a vectorized scan unit, whose
+    ``run`` is the unit's ``fn``.  ``trace`` — the arities of the scan
+    and, for a folded projection, of the projection over it — is the
+    static part of its stats; the batch and the data-dependent part come
+    from the record, so one bulk update replays the unit's one or two
+    events whatever the catalog holds."""
 
-    def run_scan(stats: ExecutionStats) -> Batch:
-        batch, (total, built, max_card) = bound()
+    __slots__ = ("projections", "max_arity", "trace")
+
+    def __init__(self, build, source, trace: tuple[int, ...]) -> None:
+        super().__init__(build, source)
+        self.projections = len(trace) - 1
+        self.max_arity = max(trace)
+        self.trace = trace
+
+    def run(self, stats: ExecutionStats) -> Batch:
+        batch, (total, built, max_card) = self()
         stats.record_bulk(
-            0, 0, projections, 1, total, built, max_card, max_arity, 0, trace
+            0, 0, self.projections, 1, total, built, max_card,
+            self.max_arity, 0, self.trace,
         )
         return batch
 
-    return _Unit(fn=run_scan, children=(), key=key, header=header, bound=bound)
+
+def _fold_projection(positions: tuple[int, ...], s_arity: int, scanned: tuple) -> tuple:
+    """:attr:`_Unit.bound` record of a projection of a scan, from the
+    scan's.  The scan's own stats carry over (an identity scan passed
+    the base store through unbuilt, a filtered one materialized its
+    batch); an identity projection adds an unbuilt output."""
+    sbatch, (s_n, s_built, _) = scanned  # a scan's total is its size
+    if positions == tuple(range(s_arity)):
+        return sbatch, (2 * s_n, s_built, s_n)
+    if _np is not None and s_n >= _ARRAY_MIN:
+        cols = _to_cols(sbatch, s_arity)
+        batch = _npdistinct_cols(tuple(cols[p] for p in positions), s_n)
+    else:
+        eml = _tuple_extractor(positions)
+        rows = list(dict.fromkeys(map(eml, _batch_rows(sbatch))))
+        batch = (len(rows), rows)
+    card = batch[0]
+    return batch, (s_n + card, s_built + card, max(s_n, card))
 
 
 def _vcompile_project_scan(
     node: Project, key: tuple, scan_unit: _Unit
 ) -> _Unit:
-    """Fold a projection of a scan into the scan unit under it.
+    """Fold a projection of a scan into one scan unit, given the (never
+    stored) unit of the scan under it.
 
     A projected scan is a function of one immutable base relation — the
     same class of per-relation precomputation as the selection folding
     in ``_compile_scan`` — so its batch is computed once per version of
     that relation.  The unit records the scan's and projection's
-    stats itself (it absorbs the scan, keeping the interpreter's
-    post-order trace), and passes the base relation's position map
-    through so parents still probe the base key index zero-copy.
+    stats itself (keeping the interpreter's post-order trace), and
+    passes the base relation's position map through so parents still
+    probe the base key index zero-copy.
     """
     child_cols = node.child.columns
     header = node.columns
-    s_arity = len(child_cols)
     positions = tuple(child_cols.index(name) for name in header)
-    identity = positions == tuple(range(s_arity))
-    eml = _tuple_extractor(positions)
-
-    def fold(scanned: tuple) -> tuple:
-        # The scan's own stats carry over (an identity scan passed the
-        # base store through unbuilt, a filtered one materialized its
-        # batch); an identity projection adds an unbuilt output.
-        sbatch, (s_n, s_built, _) = scanned  # a scan's total is its size
-        if identity:
-            return sbatch, (2 * s_n, s_built, s_n)
-        if _np is not None and s_n >= _ARRAY_MIN:
-            cols = _to_cols(sbatch, s_arity)
-            batch = _npdistinct_cols(tuple(cols[p] for p in positions), s_n)
-        else:
-            rows = list(dict.fromkeys(map(eml, _batch_rows(sbatch))))
-            batch = (len(rows), rows)
-        card = batch[0]
-        return batch, (s_n + card, s_built + card, max(s_n, card))
-
-    unit = _scan_unit(
-        key, header, _cell(fold, scan_unit.bound), (s_arity, len(header))
+    bound = _scan_cell(
+        partial(_fold_projection, positions, len(child_cols)),
+        scan_unit.bound,
+        (len(child_cols), len(header)),
     )
+    unit = _Unit(fn=bound.run, children=(), key=key, header=header, bound=bound)
     if scan_unit.source is not None:
         # Projection of a zero-copy scan: the set of key values on the
         # kept columns is unchanged by projection, so downstream
         # semijoin probes can still hit the base relation's memoized
         # key index.
         unit.source = scan_unit.source
-        unit.source_columns = {
-            name: scan_unit.source_columns[name] for name in header
-        }
         unit.source_positions = {
             name: scan_unit.source_positions[name] for name in header
         }
@@ -2232,18 +2254,40 @@ def _vcompile_project_scan(
 _PIPE_MAX = 8
 
 #: Bound of the process-wide code-object cache behind
-#: :func:`_pipeline_code` (distinct generated kernel sources kept).
+#: :func:`_pipeline_code` (distinct kernel signatures kept).
 _PIPE_CODE_CACHE_SIZE = 256
 
+#: Per-unit globals of a pipeline kernel naming stage ``i``'s right-side
+#: ``bound`` record and probe cell.
+_STAGE_NAMES = tuple((f"_r{i}", f"_p{i}") for i in range(1, _PIPE_MAX + 1))
 
-@lru_cache(maxsize=_PIPE_CODE_CACHE_SIZE)
-def _pipeline_code(source: str):
-    """Code object of a generated pipeline kernel, one per distinct
-    source text.  The kernels are positional — stage kinds, key and
-    column offsets only, no names and no data — so every chain of the
-    same shape, in any plan, engine or catalog, shares one code object
-    and ``compile`` runs once per shape per process."""
-    return compile(source, "<repro.relalg.pipeline>", "exec")
+
+def _is_scan_unit(node: Plan) -> bool:
+    """Whether the vectorized lowering makes ``node`` a scan unit: a
+    scan, or a projection folded onto one."""
+    return isinstance(node, Scan) or (
+        isinstance(node, Project) and isinstance(node.child, Scan)
+    )
+
+
+def _chain(node: Plan) -> list[Join | Semijoin] | None:
+    """The joins and semijoins one pipeline unit rooted at ``node`` fuses,
+    top first: a run down the left spine (under ``node``'s projection,
+    if it is one) of operators whose right side is a scan unit probed on
+    shared columns, at most ``_PIPE_MAX`` long; ``None`` when fewer than
+    two fuse.  It reads the plan alone, so fusion is decided before any
+    unit is built."""
+    top = node.child if isinstance(node, Project) else node
+    chain: list[Join | Semijoin] = []
+    while (
+        len(chain) < _PIPE_MAX
+        and isinstance(top, (Join, Semijoin))
+        and _is_scan_unit(top.right)
+        and _join_layout(top.left.columns, top.right.columns)[0]
+    ):
+        chain.append(top)
+        top = top.left
+    return chain if len(chain) > 1 else None
 
 
 @dataclass(eq=False)
@@ -2251,78 +2295,26 @@ class _PipeStage:
     """One fused Join/Semijoin over a scan-unit right side."""
 
     kind: str  # 'join' | 'filterjoin' | 'semi'
-    right: _Unit  # the absorbed right-side scan unit
-    right_trace: tuple[int, ...]  # arities of the plan nodes ``right`` covers
+    right: _Unit  # the right-side scan unit
     left_key: tuple[int, ...]  # positions into the chain columns here
     right_key: tuple[int, ...]
     right_extra: tuple[int, ...]
-    extra_names: tuple[str, ...]
     arity: int  # stage output arity
 
 
-@dataclass(eq=False)
-class _Pipe:
-    """Pipeline descriptor carried on a vectorized unit: its output is
-    ``source`` run through ``stages`` (a chain of joins/semijoins whose
-    right sides are all scan units).  A parent operator that
-    can append one more stage fuses the whole chain into a single
-    generated kernel (:func:`_vcompile_pipeline`) instead of consuming
-    the unit's materialized output."""
-
-    source: _Unit
-    stages: tuple[_PipeStage, ...]
-    columns: tuple[str, ...]  # chain output columns (pre-projection)
-
-
-def _pipe_stage(node: Join | Semijoin, runit: _Unit) -> _PipeStage | None:
-    """Stage descriptor for ``node`` when its right side is a scan unit
-    probed on shared keys; ``None`` when the shape is not fusable
-    (dynamic right side, or a cross/degenerate operator)."""
-    if runit.bound is None:
-        return None
-    shared, left_key, right_key, right_extra = _join_layout(
+def _pipe_stage(node: Join | Semijoin, runit: _Unit) -> _PipeStage:
+    """Stage descriptor for ``node``, a link of a :func:`_chain`."""
+    _, left_key, right_key, right_extra = _join_layout(
         node.left.columns, node.right.columns
     )
-    if not shared:
-        return None
     if isinstance(node, Semijoin):
-        kind, extra = "semi", ()
-    elif right_extra:
-        kind, extra = "join", right_extra
+        kind, right_extra = "semi", ()
     else:
-        kind, extra = "filterjoin", ()
-    right = node.right
-    rarity = len(right.columns)
-    return _PipeStage(
-        kind=kind,
-        right=runit,
-        right_trace=(
-            (len(right.child.columns), rarity)
-            if isinstance(right, Project)
-            else (rarity,)
-        ),
-        left_key=left_key,
-        right_key=right_key,
-        right_extra=extra,
-        extra_names=tuple(right.columns[p] for p in extra),
-        arity=len(node.columns),
-    )
+        kind = "join" if right_extra else "filterjoin"
+    return _PipeStage(kind, runit, left_key, right_key, right_extra, len(node.columns))
 
 
-def _attach_pipe(
-    unit: _Unit, node: Join | Semijoin, children: tuple[_Unit, ...]
-) -> _Unit:
-    """Mark ``unit`` (a fresh join/semijoin kernel) as a one-stage
-    pipeline so a fusable parent can extend it."""
-    stage = _pipe_stage(node, children[1])
-    if stage is not None:
-        unit.pipe = _Pipe(
-            source=children[0], stages=(stage,), columns=node.columns
-        )
-    return unit
-
-
-def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
+def _pipe_finish(stages: list[_PipeStage], project_arity: int | None):
     """Per-execution stats closure of a fused chain.
 
     Replays the interpreter's post-order event sequence — each absorbed
@@ -2344,7 +2336,7 @@ def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
     """
     trace: list[int] = []
     for st in stages:
-        trace.extend(st.right_trace)
+        trace.extend(st.right.bound.trace)  # the right scan unit's events
         trace.append(st.arity)
     if project_arity is not None:
         trace.append(project_arity)
@@ -2392,13 +2384,15 @@ def _pipe_finish(stages: tuple[_PipeStage, ...], project_arity: int | None):
     return finish
 
 
-def _stage_probe(st: _PipeStage) -> Callable[[tuple], Any]:
-    """Row-path probe structure of one stage as a function of its right
+@lru_cache(maxsize=1024)
+def _stage_probe(join: bool, right_key: tuple[int, ...], right_extra: tuple[int, ...]):
+    """Row-path probe structure of a stage as a function of its right
     side's bound record: the ``get`` of a key -> extras index for a join,
-    the key set for a filter."""
-    rkey = _key_extractor(st.right_key)
-    if st.kind == "join":
-        rext = _tuple_extractor(st.right_extra)
+    the key set for a filter.  Positional, so shared by every stage of
+    the same shape."""
+    rkey = _key_extractor(right_key)
+    if join:
+        rext = _tuple_extractor(right_extra)
         return lambda bound: _bucket(_batch_rows(bound[0]), rkey, rext).get
     return lambda bound: set(map(rkey, _batch_rows(bound[0])))
 
@@ -2419,6 +2413,18 @@ def _stage_arrays(st: _PipeStage) -> Callable[[tuple], tuple]:
 
         return build
     return lambda bound: _npsorted_keys(bound[0], st.right_key, rarity)
+
+
+def _pipe_np(stages, arity0, finish, proj_positions):
+    """The array path of a fused chain (:func:`_pipe_np_run` over the
+    stages' build-side cells), made by the first call that takes it."""
+    npstages = [
+        (st.kind == "join", st.left_key, st.right.bound, _cell(_stage_arrays(st)))
+        for st in stages
+    ]
+    return lambda stats, lbatch: _pipe_np_run(
+        stats, lbatch, arity0, npstages, finish, proj_positions
+    )
 
 
 def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
@@ -2464,103 +2470,42 @@ def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
     return n, (cols if n else [])
 
 
-def _vcompile_pipeline(
-    node: Plan, key: tuple, pipe: _Pipe, project: tuple[str, ...] | None
-) -> _Unit:
-    """Fuse a chain of joins/semijoins over scan-unit right sides (plus an
-    optional projection on top) into one generated nested-loop kernel.
+@lru_cache(maxsize=_PIPE_CODE_CACHE_SIZE)
+def _pipeline_code(signature: tuple) -> CodeType:
+    """Code object of the generated kernel for one positional signature
+    ``(use_np, source_arity, stages, project)`` — ``stages`` holding each
+    stage's ``(kind, left_key, number of extras)``, ``project`` the
+    chain-column positions a projection top keeps (``None`` for a bare
+    chain).  No names and no data enter it, so every chain of the same
+    shape, in any plan, engine or catalog, shares one code object: the
+    source is rendered and ``compile`` runs once per signature per
+    process.
 
     The kernel iterates the dynamic source batch once; each stage is a
-    dict/set probe, later stages read their key components
-    straight out of the loop variables (source row ``r0``, stage extras
-    ``e1``, ``e2``, ...), so no intermediate tuple is ever concatenated
-    or appended.  Interior cardinalities — which the logical counters
-    need exactly — are *counted* at each loop level: every iteration
-    reaching stage *i* corresponds to one distinct row of intermediate
-    *i-1* (the chain preserves the batch distinctness invariant), so
-    ``c_i`` accumulated as bucket lengths (joins) or survivors
-    (filters) equals the intermediate's distinct cardinality.  Inputs at
-    or above the array threshold divert to :func:`_pipe_np_run`, which
-    runs the same chain with whole-column gathers.
-
-    What is paid where: the code object is per *shape*
-    (:func:`_pipeline_code`); the namespace it is ``exec``-ed into — the
-    stats closure, the sticky ``_mode`` cell, one empty cell per stage
-    (and one more each once the array path has run) — is per *unit*,
-    built here and never again; what fills the cells — a stage's row
-    probe, its array-path build side — is per *version* of that stage's
-    relation, built by the first execution that takes the path over it.  A write to one stage's relation leaves
-    the other stages' structures, and ``_mode``, alone.
+    dict/set probe, later stages read their key components straight out
+    of the loop variables (source row ``r0``, stage extras ``e1``,
+    ``e2``, ...), so no intermediate tuple is ever concatenated or
+    appended.  Interior cardinalities — which the logical counters need
+    exactly — are *counted* at each loop level: every iteration reaching
+    stage *i* corresponds to one distinct row of intermediate *i-1* (the
+    chain preserves the batch distinctness invariant), so ``c_i``
+    accumulated as bucket lengths (joins) or survivors (filters) equals
+    the intermediate's distinct cardinality.  Inputs at or above the
+    array threshold divert to ``_npfall``, which runs the same chain
+    with whole-column gathers.
     """
-    source = pipe.source
-    stages = pipe.stages
-    header = node.columns
-    use_np = _np is not None
-
-    # Replay the stages to map every chain column to its loop variable
-    # and offset, and to render each stage's probe-key expression.
-    colmap = {name: ("r0", off) for off, name in enumerate(source.header)}
-    cur_cols = list(source.header)
+    use_np, arity0, stages, project = signature
+    # Where each chain column is read (source row ``r0``, then each join
+    # stage's extras), and each stage's probe-key expression.
+    slots = [f"r0[{off}]" for off in range(arity0)]
     emit_segs = ["r0"]
     key_exprs: list[str] = []
-    for i, st in enumerate(stages, 1):
-        parts = [colmap[cur_cols[p]] for p in st.left_key]
-        if len(parts) == 1:
-            v, o = parts[0]
-            key_exprs.append(f"{v}[{o}]")
-        else:
-            key_exprs.append(
-                "(" + ", ".join(f"{v}[{o}]" for v, o in parts) + ")"
-            )
-        if st.kind == "join":
-            var = f"e{i}"
-            emit_segs.append(var)
-            for off, name in enumerate(st.extra_names):
-                colmap[name] = (var, off)
-            cur_cols.extend(st.extra_names)
-
-    # ``_r<i>()`` is stage i's right side as the catalog holds it now,
-    # ``_p<i>`` the cell of its row probe.
-    ns: dict[str, Any] = {"_to_rows": _to_rows}
-    for i, st in enumerate(stages, 1):
-        ns[f"_r{i}"] = st.right.bound
-        ns[f"_p{i}"] = _cell(_stage_probe(st))
-
-    finish = _pipe_finish(
-        stages, len(header) if project is not None else None
-    )
-    ns["_finish"] = finish
-
-    if use_np:
-        npstages: list = []
-        proj_positions = (
-            tuple(pipe.columns.index(name) for name in header)
-            if project is not None
-            else None
-        )
-        arity0 = len(source.header)
-
-        def np_fallback(stats, lbatch):
-            if not npstages:
-                # The array side's (empty) cells, made by the first call
-                # that wants them: most chains never take this path.
-                npstages.extend(
-                    (st.kind == "join", st.left_key, st.right.bound,
-                     _cell(_stage_arrays(st)))
-                    for st in stages
-                )
-            return _pipe_np_run(
-                stats, lbatch, arity0, npstages, finish, proj_positions
-            )
-
-        ns["_npfall"] = np_fallback
-        ns["_amin"] = _ARRAY_MIN
-        # One-cell adaptive-dispatch flag: set when a row pass trips the
-        # mid-flight restart guard, so subsequent executions of this unit
-        # — after a write too — go straight to the array path instead of
-        # re-discovering the blow-up (and paying for the abandoned row
-        # pass, and for row probes nothing will use) every time.
-        ns["_mode"] = [0]
+    for i, (kind, left_key, n_extra) in enumerate(stages, 1):
+        parts = [slots[p] for p in left_key]
+        key_exprs.append(parts[0] if len(parts) == 1 else f"({', '.join(parts)})")
+        if kind == "join":
+            emit_segs.append(f"e{i}")
+            slots.extend(f"e{i}[{off}]" for off in range(n_extra))
 
     n_stages = len(stages)
     lines = [
@@ -2599,15 +2544,15 @@ def _vcompile_pipeline(
         # worth per stage.
         guards = [
             f"c{i} >= _amin"
-            for i, st in enumerate(stages, 1)
-            if st.kind == "join"
+            for i, (kind, _, _) in enumerate(stages, 1)
+            if kind == "join"
         ]
         if guards:
             lines.append(f"{pad}if {' or '.join(guards)}:")
             lines.append(f"{pad}    _mode[0] = 1")
             lines.append(f"{pad}    return _npfall(stats, lbatch)")
-    for i, (st, kx) in enumerate(zip(stages, key_exprs), 1):
-        if st.kind == "join":
+    for i, ((kind, _, _), kx) in enumerate(zip(stages, key_exprs), 1):
+        if kind == "join":
             lines.append(f"{pad}b{i} = p{i}({kx})")
             lines.append(f"{pad}if b{i} is None:")
             lines.append(f"{pad}    continue")
@@ -2619,17 +2564,12 @@ def _vcompile_pipeline(
             lines.append(f"{pad}    continue")
             lines.append(f"{pad}c{i} += 1")
     if project is not None:
-        if header:
-            parts = [colmap[name] for name in header]
-            inner = ", ".join(f"{v}[{o}]" for v, o in parts)
-            emit = f"({inner},)" if len(parts) == 1 else f"({inner})"
-        else:
-            emit = "()"
+        inner = ", ".join(slots[p] for p in project)
+        emit = f"({inner},)" if len(project) == 1 else f"({inner})"
         lines.append(f"{pad}cand[{emit}] = None")
+        lines.append("    out = list(cand)")
     else:
         lines.append(f"{pad}_append({' + '.join(emit_segs)})")
-    if project is not None:
-        lines.append("    out = list(cand)")
 
     def listed(prefix: str) -> str:
         return ", ".join(f"{prefix}{i}" for i in range(1, n_stages + 1)) + ","
@@ -2638,57 +2578,80 @@ def _vcompile_pipeline(
         f"    _finish(stats, ln, ({listed('c')}), len(out), ({listed('q')}))"
     )
     lines.append("    return len(out), out")
-    exec(_pipeline_code("\n".join(lines)), ns)
+    module = compile("\n".join(lines), "<repro.relalg.pipeline>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
-    unit = _Unit(
-        fn=ns["run_pipe"], children=(source,), key=key, header=header
+
+def _vcompile_pipeline(node: Plan, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
+    """Fuse the :func:`_chain` rooted at ``node`` (plus its projection,
+    when ``node`` is one) into one generated nested-loop kernel over
+    ``children``: the chain's source unit, then its stages' right-side
+    scan units, bottom-up.
+
+    What is paid where: the code object is per *signature*
+    (:func:`_pipeline_code`); the globals dict a function over it reads
+    — the stats closure, the sticky ``_mode`` cell, one empty probe cell
+    per stage and the array path's maker — is per *unit*, built here and
+    never again; what fills the cells — a stage's row probe, its
+    array-path build side — is per *version* of that stage's relation,
+    built by the first execution that takes the path over it.  A write
+    to one stage's relation leaves the other stages' structures, and
+    ``_mode``, alone.
+    """
+    links = _chain(node)[::-1]
+    source, rights = children[0], children[1:]
+    stages = list(map(_pipe_stage, links, rights))
+    header = node.columns
+    project = None
+    if isinstance(node, Project):
+        top = links[-1].columns
+        project = tuple(top.index(name) for name in header)
+    use_np = _np is not None
+    signature = (
+        use_np,
+        len(source.header),
+        tuple((st.kind, st.left_key, len(st.right_extra)) for st in stages),
+        project,
     )
-    if project is None:
-        # A bare chain can itself be extended by a fusable parent; a
-        # projection top dedups, which is a fusion barrier.
-        unit.pipe = pipe
-    return unit
-
-
-def _try_pipeline(
-    chain: Join | Semijoin,
-    key: tuple,
-    children: tuple[_Unit, ...],
-    project: Project | None,
-) -> _Unit | None:
-    """Fused pipeline unit for ``chain`` (optionally topped by
-    ``project``) when its left child already carries a pipe and its
-    right side can become one more stage; ``None`` otherwise.  ``key``
-    is the ``plan_key`` of the unit's root: ``project`` when there is
-    one, else ``chain``."""
-    base = children[0].pipe
-    if base is None or len(base.stages) >= _PIPE_MAX:
-        return None
-    stage = _pipe_stage(chain, children[1])
-    if stage is None:
-        return None
-    pipe = _Pipe(base.source, base.stages + (stage,), chain.columns)
-    if project is None:
-        return _vcompile_pipeline(chain, key, pipe, project=None)
-    return _vcompile_pipeline(project, key, pipe, project=project.columns)
+    finish = _pipe_finish(stages, None if project is None else len(header))
+    ns: dict[str, Any] = {"_to_rows": _to_rows, "_finish": finish}
+    for (r, p), st in zip(_STAGE_NAMES, stages):
+        ns[r] = st.right.bound
+        ns[p] = _cell(_stage_probe(st.kind == "join", st.right_key, st.right_extra))
+    if use_np:
+        ns["_npfall"] = _Later(
+            _pipe_np, (stages, len(source.header), finish, project)
+        )
+        ns["_amin"] = _ARRAY_MIN
+        # Sticky dispatch flag, set when a row pass trips the restart
+        # guard: later executions, after writes too, go straight to the
+        # array path instead of re-discovering the blow-up every time.
+        ns["_mode"] = [0]
+    return _Unit(
+        fn=FunctionType(_pipeline_code(signature), ns),
+        children=(source,),
+        key=key,
+        header=header,
+        stages=rights,
+    )
 
 
 class VectorizedEngine(CompiledEngine):
     """Compiled backend whose units operate on dictionary-encoded column
     batches instead of row sets.
 
-    Compilation grouping and the common-subexpression cache are
-    inherited unchanged from :class:`CompiledEngine` (the cached driver
-    is payload-agnostic); the uncached driver is overridden with a
-    flattened-program interpreter, and the per-unit kernels and scan
-    lowering differ.  Scans read the base relation's memoized
-    :meth:`Relation.columnar` store — dictionary encoding happens once
-    per base relation, and constant/equality selections are folded into
-    a batch once per version of it, which join and semijoin parents
-    exploit by keeping their probe structures for as long as that batch
-    lives.  The logical :class:`ExecutionStats` counters are
-    byte-identical to both other engines; ``rows_built`` matches the
-    compiled engine's (and is therefore never above the interpreter's).
+    The common-subexpression cache and its driver are inherited from
+    :class:`CompiledEngine` (the cached driver is payload-agnostic); the
+    uncached driver is a flattened-program interpreter, fusion goes
+    further (scan folding, chain pipelines — decided from the plan before
+    any unit is built), and the kernels differ.  Scans read the base
+    relation's memoized :meth:`Relation.columnar` store — dictionary
+    encoding happens once per base relation, and constant/equality
+    selections are folded into a batch once per version of it, which
+    join and semijoin parents exploit by keeping their probe structures
+    for as long as that batch lives.  The logical :class:`ExecutionStats`
+    counters are byte-identical to both other engines; ``rows_built`` is
+    never above the compiled engine's (pipelines skip materializations).
 
     Examples
     --------
@@ -2707,6 +2670,9 @@ class VectorizedEngine(CompiledEngine):
     ) -> None:
         super().__init__(database, plan_cache_size)
         self._pool_epoch = pool_epoch()
+        #: Relation name -> the one cell every zero-copy scan unit of it
+        #: shares (same batch, same events).
+        self._zero_copy: dict[str, _scan_cell] = {}
 
     def _sync_catalog(self) -> None:
         """As inherited, after dropping both stores wholesale if the
@@ -2714,49 +2680,72 @@ class VectorizedEngine(CompiledEngine):
         (:func:`repro.relalg.columnar.clear_interning`): this engine's
         cached batches and the cells of its units are made of dictionary
         codes, which the relation objects they are keyed on do not show
-        going stale.  (The row engine holds no codes and keeps both.)"""
+        going stale.  (The row engine holds no codes and keeps both.)
+        A shared zero-copy scan cell goes with the units of its
+        relation."""
         if self._pool_epoch != pool_epoch():
             self._units.clear()
             self._cache.clear()
+            self._zero_copy.clear()
             self._pool_epoch = pool_epoch()
+        lowered = len(self._schemas)
         super()._sync_catalog()
+        if len(self._schemas) < lowered:  # relations dropped or reshaped
+            schemas = self._schemas
+            self._zero_copy = {
+                name: cell for name, cell in self._zero_copy.items() if name in schemas
+            }
 
     def execute(self, plan: Plan, stats: ExecutionStats | None = None) -> Relation:
         """Compile (or reuse) and evaluate ``plan`` over column batches."""
         stats = stats if stats is not None else ExecutionStats()
         self._sync_catalog()
         unit = self._compile(plan)
-        return _decode_batch(unit.header, self._run(unit, stats))
+        batch = self._run(unit, stats)
+        if not self._cache_size:
+            return _decode_batch(unit.header, batch)
+        # The root's entry keeps the decoded answer beside its batch
+        # (parents still read the batch), so a warm repeat returns
+        # without decoding again.
+        key = (unit.key, self._tracker.vector(unit.deps))
+        entry = self._cache.peek(key)  # the run just hit or put it
+        if len(entry) > 2:
+            return entry[2]
+        result = _decode_batch(unit.header, batch)
+        self._cache.replace_value(key, (batch, entry[1], result))
+        return result
+
+    def _unit_children(self, node: Plan) -> tuple[Plan, ...]:
+        """As the row lowering's, except that a scan unit has none and a
+        pipeline's are its chain's source and stages' right sides: the
+        chain's interior nodes get no unit."""
+        if _is_scan_unit(node):
+            return ()
+        chain = _chain(node)
+        if chain is not None:
+            return (chain[-1].left,) + tuple(link.right for link in reversed(chain))
+        return _unit_children(node)
 
     def _build_unit(
         self, node: Plan, key: tuple, children: tuple[_Unit, ...]
     ) -> _Unit:
         if isinstance(node, Scan):
             return self._compile_scan(node, key)
+        if len(children) > 2:  # a source and two or more stages
+            return _vcompile_pipeline(node, key, children)
         if isinstance(node, Join):
-            unit = _try_pipeline(node, key, children, project=None)
-            if unit is not None:
-                return unit
-            return _attach_pipe(_vcompile_join(node, key, children), node, children)
+            return _vcompile_join(node, key, children)
         if isinstance(node, Semijoin):
-            unit = _try_pipeline(node, key, children, project=None)
-            if unit is not None:
-                return unit
-            return _attach_pipe(
-                _vcompile_semijoin(node, key, children), node, children
-            )
+            return _vcompile_semijoin(node, key, children)
         if isinstance(node, Project):
             child = node.child
-            if isinstance(child, (Join, Semijoin)):
-                unit = _try_pipeline(child, key, children, project=node)
-                if unit is not None:
-                    return unit
             if isinstance(child, Join):
                 return _vcompile_project_join(node, key, children)
             if isinstance(child, Semijoin):
                 return _vcompile_project_semijoin(node, key, children)
             if isinstance(child, Scan):
-                return _vcompile_project_scan(node, key, children[0])
+                scan_unit = self._compile_scan(child, key)
+                return _vcompile_project_scan(node, key, scan_unit)
             return _vcompile_project(node, key, children)
         raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
 
@@ -2795,11 +2784,19 @@ class VectorizedEngine(CompiledEngine):
     def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
         fetch, columns = self._scan_source(scan)
         first_position, equalities, out_positions = _scan_layout(scan, len(columns))
-        if not scan.constants and not equalities:
-            unit = _scan_unit(key, scan.columns, _cell(_fold_scan, fetch))
-            return _zero_copy(unit, fetch, columns, first_position)
-        fold = partial(_fold_selection, scan.constants, equalities, out_positions)
-        return _scan_unit(key, scan.columns, _cell(fold, fetch))
+        header = scan.columns
+        if scan.constants or equalities:
+            fold = partial(_fold_selection, scan.constants, equalities, out_positions)
+            bound = _scan_cell(fold, fetch, (len(header),))
+            return _Unit(fn=bound.run, children=(), key=key, header=header, bound=bound)
+        bound = self._zero_copy.get(scan.relation)
+        if bound is None:
+            bound = _scan_cell(_fold_scan, fetch, (len(header),))
+            self._zero_copy[scan.relation] = bound
+        return _Unit(
+            fn=bound.run, children=(), key=key, header=header, bound=bound,
+            source=bound.source, source_positions=first_position,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -20,3 +20,13 @@ def array_builds(monkeypatch):
 
         monkeypatch.setattr(compiled, name, counting)
     return calls
+
+
+@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
+def numpy_mode(request, monkeypatch):
+    """Runs the test once as installed and once with the engines'
+    numpy import gated off (the row kernels everywhere)."""
+    if not request.param:
+        monkeypatch.setattr(compiled, "_np", None)
+    elif compiled._np is None:
+        pytest.skip("numpy is not installed")

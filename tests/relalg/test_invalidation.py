@@ -402,14 +402,6 @@ CHAIN_PLANS = (
 )
 
 
-@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    if not request.param:
-        monkeypatch.setattr(compiled, "_np", None)
-    elif compiled._np is None:
-        pytest.skip("numpy is not installed")
-
-
 @pytest.fixture
 def lowerings(monkeypatch):
     """Counts of what lowering costs, by name: ``_build_unit`` calls on

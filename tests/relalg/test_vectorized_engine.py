@@ -16,17 +16,24 @@ hashing.  This module pins:
 - ``rows_built`` never above the row-compiled engine's (chain pipeline
   fusion skips materializations the row lowering still performs, so the
   vectorized physical counter may only ever be lower);
-- cache replay and catalog-generation invalidation on the batch payloads;
-- what lowering pays once: one code object per pipeline *shape*, shared
-  through a bounded process-wide cache, and array-side build structures
-  only on a unit's first array-path call.
+- cache replay and catalog-generation invalidation on the batch payloads,
+  and a warm hit that returns the root's decoded answer without decoding;
+- what lowering pays once: one code object per pipeline *signature*,
+  shared through a bounded process-wide cache, and array-side build
+  structures only on a unit's first array-path call;
+- what a cold pass lowers: only units that run, not many more objects
+  for the cyclic collector to track per unit than the row lowering, and
+  nothing left for it to free once the engine is dropped.
 
 The hypothesis-driven three-way differential lives in
 ``tests/test_compiled_differential.py``.
 """
 
+import builtins
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -35,7 +42,12 @@ from repro.datalog import parse_rule
 from repro.errors import SchemaError
 from repro.plans import Join, Project, Scan, Semijoin
 from repro.relalg import compiled
-from repro.relalg.compiled import CompiledEngine, VectorizedEngine
+from repro.relalg.compiled import (
+    ENGINE_NAMES,
+    CompiledEngine,
+    VectorizedEngine,
+    make_engine,
+)
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import Engine
 from repro.relalg.relation import Relation
@@ -301,6 +313,31 @@ class TestCacheSemantics:
         assert stats.cache_hits == 1
         assert stats.scans == 2  # replayed, matching an uncached run
 
+    def test_warm_hit_returns_the_decoded_answer(self, db, monkeypatch):
+        # The root's cache entry keeps the decoded answer beside its
+        # batch; a parent that hits the same entry still gets the batch.
+        plan = plan_query(self.QUERY, "bucket", rng=random.Random(0))
+        engine = VectorizedEngine(db)
+        first, cold = engine.execute_with_stats(plan)
+        decoded = []
+        decode = compiled._decode_batch
+        monkeypatch.setattr(
+            compiled, "_decode_batch", lambda *args: decoded.append(1) or decode(*args)
+        )
+        again, warm = engine.execute_with_stats(plan)
+        assert decoded == []
+        assert again == first == Engine(db).execute(plan)
+        for counter in LOGICAL:
+            assert getattr(warm, counter) == getattr(cold, counter), counter
+        assert warm.arity_trace == cold.arity_trace
+        parent = Project(Join(plan, Scan("edge", ("A", "Z"))), ("Z",))
+        result, stats = engine.execute_with_stats(parent)
+        expected, expected_stats = Engine(db).execute_with_stats(parent)
+        assert stats.cache_hits > 0
+        assert result == expected
+        for counter in LOGICAL:
+            assert getattr(stats, counter) == getattr(expected_stats, counter)
+
     def test_generation_invalidates_compiled_batches(self, db):
         plan = Scan("edge", ("x", "y"))
         engine = VectorizedEngine(db)
@@ -359,7 +396,7 @@ def run_fresh(plans):
 
 class TestPipelineCodeCache:
     """Generated chain kernels are positional, so one code object per
-    distinct source serves every unit, engine and catalog."""
+    distinct signature serves every unit, engine and catalog."""
 
     @pytest.mark.parametrize("use_numpy", [True, False])
     def test_cache_hit_equals_miss(self, monkeypatch, use_numpy):
@@ -385,26 +422,38 @@ class TestPipelineCodeCache:
             assert cold_stats.rows_built == warm_stats.rows_built
 
     def test_one_code_object_per_distinct_source(self, monkeypatch):
-        sources = []
+        # One kernel per pipeline unit, its source rendered and compiled
+        # once per distinct signature.
+        signatures = []
+        rendered = []
         cached = compiled._pipeline_code
+        real_compile = builtins.compile
 
-        def recording(source):
-            sources.append(source)
-            return cached(source)
+        def recording(signature):
+            signatures.append(signature)
+            return cached(signature)
+
+        def counting_compile(source, filename, *args, **kwargs):
+            if filename == "<repro.relalg.pipeline>":
+                rendered.append(source)
+            return real_compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(compiled, "_pipeline_code", recording)
+        monkeypatch.setattr(builtins, "compile", counting_compile)
         plans = cold_plans()
         cached.cache_clear()
         run_fresh(plans)
         first = cached.cache_info()
-        kernels = len(sources)
-        assert first.misses == len(set(sources)) == first.currsize
-        assert first.misses < kernels  # shapes repeat within one pass
+        kernels = len(signatures)
+        assert len(rendered) == len(set(rendered)) == len(set(signatures))
+        assert first.misses == len(set(signatures)) == first.currsize
+        assert first.misses < kernels  # signatures repeat within one pass
         assert first.hits == kernels - first.misses
         run_fresh(plans)
         second = cached.cache_info()
-        assert second.misses == first.misses  # nothing compiled again
+        assert second.misses == first.misses  # nothing rendered again
         assert second.hits == first.hits + kernels
+        assert len(rendered) == first.misses
 
     def test_writes_generate_no_kernel(self):
         # The kernel is lowered once per unit, not once per version of
@@ -428,9 +477,9 @@ class TestPipelineCodeCache:
         assert compiled._pipeline_code.cache_info() == before
 
     def test_cache_is_bounded(self):
-        # Chains of 8 stages, each a join or a semijoin against a scan:
-        # 2**8 plans whose prefixes of 2..8 stages are 508 distinct
-        # kernel sources, about twice the cache's bound.
+        # Chains of 8 stages, each a join or a semijoin against a scan,
+        # bare and under a projection: 2 * 2**8 plans of one pipeline
+        # each, 512 distinct kernel signatures, twice the cache's bound.
         bound = compiled._PIPE_CODE_CACHE_SIZE
         rows = [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (3, 1)]
         database = Database({"e": Relation(("a", "b"), rows)})
@@ -445,7 +494,7 @@ class TestPipelineCodeCache:
                 else:
                     right = Scan("e", (f"x{last}", f"y{stage}"))
                 plan = kind(plan, right)
-            plans.append(plan)
+            plans += [plan, Project(plan, ("x0",))]
         cached = compiled._pipeline_code
         cached.cache_clear()
         engine = VectorizedEngine(database, plan_cache_size=0)
@@ -458,8 +507,74 @@ class TestPipelineCodeCache:
                 assert logical(stats) == logical(expected_stats)
         info = cached.cache_info()
         assert info.maxsize == bound
-        assert info.misses > bound
+        assert info.misses == 2 * bound
         assert info.currsize == bound
+
+
+def lowered_units(engine) -> list:
+    """Every unit ``engine`` holds."""
+    return [unit for unit, _ in engine._units._entries.values()]
+
+
+class TestLoweringCounts:
+    """Fusion is decided from the plan before any unit is built, so a
+    cold pass lowers only what runs, and a unit holds few objects."""
+
+    def test_every_lowered_unit_is_reached(self, numpy_mode):
+        # Reached from the root through children, or as a pipeline's
+        # stage: a chain's interior joins get no unit of their own.
+        pipelines = 0
+        for plan in cold_plans():
+            engine = VectorizedEngine(edge_database())
+            engine.execute(plan)
+            reached, stack = {}, [engine._compile(plan)]
+            while stack:
+                unit = stack.pop()
+                if id(unit) not in reached:
+                    reached[id(unit)] = unit
+                    stack.extend(unit.children + unit.stages)
+            assert set(reached) == {id(unit) for unit in lowered_units(engine)}
+            pipelines += sum(1 for unit in reached.values() if unit.stages)
+        assert pipelines > 0
+
+    @staticmethod
+    def tracked_per_unit(engine_cls, plans) -> float:
+        databases = [edge_database() for _ in plans]
+        gc.collect()
+        before = len(gc.get_objects())
+        engines = [engine_cls(database, plan_cache_size=0) for database in databases]
+        for engine, plan in zip(engines, plans):
+            engine.execute(plan)
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        return held / sum(len(lowered_units(engine)) for engine in engines)
+
+    def test_units_hold_few_tracked_objects(self):
+        plans = cold_plans()
+        for engine_cls in (CompiledEngine, VectorizedEngine):
+            self.tracked_per_unit(engine_cls, plans)  # process-wide memos
+        compiled_units = self.tracked_per_unit(CompiledEngine, plans)
+        vectorized_units = self.tracked_per_unit(VectorizedEngine, plans)
+        assert vectorized_units <= 1.5 * compiled_units
+
+    @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+    def test_a_dropped_engine_needs_no_collector(self, engine_name, numpy_mode):
+        # Nothing an engine builds is in a reference cycle: dropping it
+        # frees its catalog at once, and leaves no garbage behind.
+        plans = cold_plans()
+        gc.collect()
+        gc.disable()
+        try:
+            database = edge_database()
+            engine = make_engine(engine_name, database)
+            for plan in plans:
+                engine.execute(plan)
+            catalog = weakref.ref(database)
+            del engine, database
+            assert catalog() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
