@@ -26,108 +26,65 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.experiments` — per-figure series builders and reporting.
 """
 
-from repro.datalog import parse_program, parse_rule, render_datalog
-from repro.core import (
-    Atom,
-    ConjunctiveQuery,
-    Const,
-    METHODS,
-    bucket_elimination_plan,
-    early_projection_plan,
-    join_graph,
-    plan_query,
-    reordering_plan,
-    straightforward_plan,
-)
-from repro.errors import ReproError
-from repro.explain import ExplainResult, explain
-from repro.plans import (
-    Join,
-    Plan,
-    Project,
-    Scan,
-    Semijoin,
-    plan_key,
-    plan_width,
-    pretty_plan,
-    transform,
-    walk,
-)
-from repro.rewrite import normalize, rewrite_plan
-from repro.relalg import (
-    CompiledEngine,
-    Database,
-    Engine,
-    ExecutionStats,
-    Relation,
-    VectorizedEngine,
-    edge_database,
-    evaluate,
-    make_engine,
-)
-from repro.sql import execute_with_stats, generate_sql, parse
-from repro.workloads import (
-    coloring_instance,
-    coloring_query,
-    pentagon,
-    random_graph,
-    random_ksat,
-    sat_instance,
-)
+from repro._lazy import lazy_exports
+from repro.explain import explain  # also a submodule's name
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    # queries and planning
-    "Atom",
-    "Const",
-    "ConjunctiveQuery",
-    "join_graph",
-    "plan_query",
-    "METHODS",
-    "straightforward_plan",
-    "early_projection_plan",
-    "reordering_plan",
-    "bucket_elimination_plan",
-    # plans
-    "Plan",
-    "Scan",
-    "Join",
-    "Semijoin",
-    "Project",
-    "plan_key",
-    "plan_width",
-    "pretty_plan",
-    "transform",
-    "walk",
-    "explain",
-    "ExplainResult",
-    "normalize",
-    "rewrite_plan",
-    "parse_rule",
-    "parse_program",
-    "render_datalog",
-    # engine
-    "Relation",
-    "Database",
-    "Engine",
-    "CompiledEngine",
-    "VectorizedEngine",
-    "make_engine",
-    "ExecutionStats",
-    "edge_database",
-    "evaluate",
-    # SQL pipeline
-    "generate_sql",
-    "parse",
-    "execute_with_stats",
-    # workloads
-    "coloring_instance",
-    "coloring_query",
-    "pentagon",
-    "random_graph",
-    "random_ksat",
-    "sat_instance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ReproError": "errors",
+        # queries and planning
+        "Atom": "core",
+        "Const": "core",
+        "ConjunctiveQuery": "core",
+        "join_graph": "core",
+        "plan_query": "core",
+        "METHODS": "core",
+        "straightforward_plan": "core",
+        "early_projection_plan": "core",
+        "reordering_plan": "core",
+        "bucket_elimination_plan": "core",
+        # plans
+        "Plan": "plans",
+        "Scan": "plans",
+        "Join": "plans",
+        "Semijoin": "plans",
+        "Project": "plans",
+        "plan_key": "plans",
+        "plan_width": "plans",
+        "pretty_plan": "plans",
+        "transform": "plans",
+        "walk": "plans",
+        "explain": "explain",
+        "ExplainResult": "explain",
+        "normalize": "rewrite",
+        "rewrite_plan": "rewrite",
+        "parse_rule": "datalog",
+        "parse_program": "datalog",
+        "render_datalog": "datalog",
+        # engine
+        "Relation": "relalg",
+        "Database": "relalg",
+        "Engine": "relalg",
+        "CompiledEngine": "relalg",
+        "VectorizedEngine": "relalg",
+        "make_engine": "relalg",
+        "ExecutionStats": "relalg",
+        "edge_database": "relalg",
+        "evaluate": "relalg",
+        # SQL pipeline
+        "generate_sql": "sql",
+        "parse": "sql",
+        "execute_with_stats": "sql",
+        # workloads
+        "coloring_instance": "workloads",
+        "coloring_query": "workloads",
+        "pentagon": "workloads",
+        "random_graph": "workloads",
+        "random_ksat": "workloads",
+        "sat_instance": "workloads",
+    },
+)
+__all__.insert(0, "__version__")

@@ -23,7 +23,7 @@ import sys
 from repro.core.planner import METHODS, plan_query
 from repro.datalog import parse_rule, render_datalog
 from repro.plans import plan_width, pretty_plan
-from repro.relalg.compiled import ENGINE_NAMES
+from repro.relalg.engine import ENGINE_NAMES
 from repro.relalg.joins import JOIN_ALGORITHMS
 
 

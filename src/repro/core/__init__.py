@@ -17,131 +17,69 @@ Public surface:
   methods.
 """
 
-from repro.core.buckets import BucketPlan, BucketTrace, bucket_elimination_plan, mcs_bucket_order
-from repro.core.containment import (
-    CanonicalDatabase,
-    are_equivalent,
-    canonical_database,
-    homomorphism_exists,
-    is_contained,
-    minimize,
-)
-from repro.core.early_projection import early_projection_plan, straightforward_plan
-from repro.core.hypertree import (
-    cover_number,
-    generalized_hypertree_width_of,
-    ghw_upper_bound,
-    is_width_one,
-)
-from repro.core.join_graph import join_graph
-from repro.core.join_tree import (
-    JoinExpressionTree,
-    jet_to_plan,
-    jet_to_tree_decomposition,
-    mark_and_sweep,
-    optimal_jet,
-    tree_decomposition_to_jet,
-)
-from repro.core.minibuckets import MiniBucketPlan, MiniBucketStep, mini_bucket_plan
-from repro.core.ordering import (
-    ORDER_HEURISTICS,
-    induced_width,
-    mcs_order,
-    min_degree_order,
-    min_fill_order,
-    random_order,
-)
-from repro.core.planner import (
-    METHODS,
-    canonical_plan,
-    plan_canonicalizer,
-    plan_query,
-    set_plan_canonicalizer,
-)
-from repro.core.query import Atom, ConjunctiveQuery, Const
-from repro.core.reordering import greedy_atom_order, reordering_plan
-from repro.core.semijoins import (
-    AtomJoinTree,
-    gyo_reduction,
-    is_acyclic,
-    semijoin_reduce,
-    yannakakis_evaluate,
-    yannakakis_plan,
-)
-from repro.core.tree_decomposition import (
-    TreeDecomposition,
-    from_elimination_order,
-    trivial_decomposition,
-)
-from repro.core.weighted import (
-    min_weighted_fill_order,
-    weighted_induced_width,
-    weighted_plan_cost,
-)
-from repro.core.treewidth import (
-    treewidth_exact,
-    treewidth_exact_order,
-    treewidth_lower_bound,
-    treewidth_upper_bound,
-)
+from repro._lazy import lazy_exports
+from repro.core.join_graph import join_graph  # also a submodule's name
 
-__all__ = [
-    "Atom",
-    "Const",
-    "ConjunctiveQuery",
-    "join_graph",
-    "mcs_order",
-    "min_degree_order",
-    "min_fill_order",
-    "random_order",
-    "induced_width",
-    "ORDER_HEURISTICS",
-    "treewidth_exact",
-    "treewidth_exact_order",
-    "treewidth_lower_bound",
-    "treewidth_upper_bound",
-    "TreeDecomposition",
-    "from_elimination_order",
-    "trivial_decomposition",
-    "JoinExpressionTree",
-    "jet_to_tree_decomposition",
-    "mark_and_sweep",
-    "tree_decomposition_to_jet",
-    "jet_to_plan",
-    "optimal_jet",
-    "BucketPlan",
-    "BucketTrace",
-    "bucket_elimination_plan",
-    "mcs_bucket_order",
-    "straightforward_plan",
-    "early_projection_plan",
-    "reordering_plan",
-    "greedy_atom_order",
-    "plan_query",
-    "canonical_plan",
-    "plan_canonicalizer",
-    "set_plan_canonicalizer",
-    "METHODS",
-    "AtomJoinTree",
-    "gyo_reduction",
-    "is_acyclic",
-    "semijoin_reduce",
-    "yannakakis_evaluate",
-    "yannakakis_plan",
-    "MiniBucketPlan",
-    "MiniBucketStep",
-    "mini_bucket_plan",
-    "CanonicalDatabase",
-    "canonical_database",
-    "is_contained",
-    "are_equivalent",
-    "homomorphism_exists",
-    "minimize",
-    "weighted_induced_width",
-    "min_weighted_fill_order",
-    "weighted_plan_cost",
-    "cover_number",
-    "generalized_hypertree_width_of",
-    "ghw_upper_bound",
-    "is_width_one",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Atom": "query",
+        "Const": "query",
+        "ConjunctiveQuery": "query",
+        "join_graph": "join_graph",
+        "mcs_order": "ordering",
+        "min_degree_order": "ordering",
+        "min_fill_order": "ordering",
+        "random_order": "ordering",
+        "induced_width": "ordering",
+        "ORDER_HEURISTICS": "ordering",
+        "treewidth_exact": "treewidth",
+        "treewidth_exact_order": "treewidth",
+        "treewidth_lower_bound": "treewidth",
+        "treewidth_upper_bound": "treewidth",
+        "TreeDecomposition": "tree_decomposition",
+        "from_elimination_order": "tree_decomposition",
+        "trivial_decomposition": "tree_decomposition",
+        "JoinExpressionTree": "join_tree",
+        "jet_to_tree_decomposition": "join_tree",
+        "mark_and_sweep": "join_tree",
+        "tree_decomposition_to_jet": "join_tree",
+        "jet_to_plan": "join_tree",
+        "optimal_jet": "join_tree",
+        "BucketPlan": "buckets",
+        "BucketTrace": "buckets",
+        "bucket_elimination_plan": "buckets",
+        "mcs_bucket_order": "buckets",
+        "straightforward_plan": "early_projection",
+        "early_projection_plan": "early_projection",
+        "reordering_plan": "reordering",
+        "greedy_atom_order": "reordering",
+        "plan_query": "planner",
+        "canonical_plan": "planner",
+        "plan_canonicalizer": "planner",
+        "set_plan_canonicalizer": "planner",
+        "METHODS": "planner",
+        "AtomJoinTree": "semijoins",
+        "gyo_reduction": "semijoins",
+        "is_acyclic": "semijoins",
+        "semijoin_reduce": "semijoins",
+        "yannakakis_evaluate": "semijoins",
+        "yannakakis_plan": "semijoins",
+        "MiniBucketPlan": "minibuckets",
+        "MiniBucketStep": "minibuckets",
+        "mini_bucket_plan": "minibuckets",
+        "CanonicalDatabase": "containment",
+        "canonical_database": "containment",
+        "is_contained": "containment",
+        "are_equivalent": "containment",
+        "homomorphism_exists": "containment",
+        "minimize": "containment",
+        "weighted_induced_width": "weighted",
+        "min_weighted_fill_order": "weighted",
+        "weighted_plan_cost": "weighted",
+        "cover_number": "hypertree",
+        "generalized_hypertree_width_of": "hypertree",
+        "ghw_upper_bound": "hypertree",
+        "is_width_one": "hypertree",
+    },
+)

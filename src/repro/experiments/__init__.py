@@ -5,60 +5,34 @@ from the command line; the :data:`~repro.experiments.figures.FIGURES`
 registry maps figure names to builders.
 """
 
-from repro.experiments.figures import (
-    EXECUTION_METHODS,
-    FIGURES,
-    fig2_compile,
-    fig3_density,
-    fig4_order_low_density,
-    fig5_order_high_density,
-    fig6_augmented_path,
-    fig7_ladder,
-    fig8_augmented_ladder,
-    fig9_augmented_circular_ladder,
-    mediator_chain_scaling,
-    relation_size_scaling,
-    sat_scaling,
-)
-from repro.experiments.report import (
-    dominance_summary,
-    format_report,
-    format_table,
-    series_to_json,
-)
-from repro.experiments.runner import (
-    BudgetTracker,
-    CellResult,
-    MethodRun,
-    Series,
-    aggregate_runs,
-    run_cell,
-    run_method,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_method",
-    "run_cell",
-    "MethodRun",
-    "CellResult",
-    "Series",
-    "aggregate_runs",
-    "BudgetTracker",
-    "EXECUTION_METHODS",
-    "FIGURES",
-    "fig2_compile",
-    "fig3_density",
-    "fig4_order_low_density",
-    "fig5_order_high_density",
-    "fig6_augmented_path",
-    "fig7_ladder",
-    "fig8_augmented_ladder",
-    "fig9_augmented_circular_ladder",
-    "sat_scaling",
-    "relation_size_scaling",
-    "mediator_chain_scaling",
-    "format_table",
-    "format_report",
-    "series_to_json",
-    "dominance_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "run_method": "runner",
+        "run_cell": "runner",
+        "MethodRun": "runner",
+        "CellResult": "runner",
+        "Series": "runner",
+        "aggregate_runs": "runner",
+        "BudgetTracker": "runner",
+        "EXECUTION_METHODS": "figures",
+        "FIGURES": "figures",
+        "fig2_compile": "figures",
+        "fig3_density": "figures",
+        "fig4_order_low_density": "figures",
+        "fig5_order_high_density": "figures",
+        "fig6_augmented_path": "figures",
+        "fig7_ladder": "figures",
+        "fig8_augmented_ladder": "figures",
+        "fig9_augmented_circular_ladder": "figures",
+        "sat_scaling": "figures",
+        "relation_size_scaling": "figures",
+        "mediator_chain_scaling": "figures",
+        "format_table": "report",
+        "format_report": "report",
+        "series_to_json": "report",
+        "dominance_summary": "report",
+    },
+)

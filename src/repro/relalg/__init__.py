@@ -21,66 +21,41 @@ Public surface:
   it (see :mod:`repro.relalg.cache`).
 """
 
-from repro.relalg.bag_engine import BagEngine, bag_evaluate
-from repro.relalg.cache import CacheInfo
-from repro.relalg.columnar import ColumnStore, clear_interning, interning_info
-from repro.relalg.compiled import (
-    ENGINE_NAMES,
-    ENGINES,
-    CompiledEngine,
-    VectorizedEngine,
-    compiled_evaluate,
-    make_engine,
-    vectorized_evaluate,
-)
-from repro.relalg.database import Database, database_from_tuples, edge_database
-from repro.relalg.engine import (
-    DEFAULT_PLAN_CACHE_SIZE,
-    Engine,
-    evaluate,
-    is_nonempty,
-)
-from repro.relalg.io import load_database, load_relation, save_database, save_relation
-from repro.relalg.joins import (
-    JOIN_ALGORITHMS,
-    get_join_algorithm,
-    hash_join,
-    nested_loop_join,
-    sort_merge_join,
-)
-from repro.relalg.relation import Relation
-from repro.relalg.stats import ExecutionStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Relation",
-    "Database",
-    "database_from_tuples",
-    "edge_database",
-    "Engine",
-    "CompiledEngine",
-    "VectorizedEngine",
-    "ColumnStore",
-    "CacheInfo",
-    "clear_interning",
-    "interning_info",
-    "ENGINES",
-    "ENGINE_NAMES",
-    "make_engine",
-    "DEFAULT_PLAN_CACHE_SIZE",
-    "evaluate",
-    "compiled_evaluate",
-    "vectorized_evaluate",
-    "is_nonempty",
-    "BagEngine",
-    "bag_evaluate",
-    "load_relation",
-    "save_relation",
-    "load_database",
-    "save_database",
-    "ExecutionStats",
-    "hash_join",
-    "sort_merge_join",
-    "nested_loop_join",
-    "get_join_algorithm",
-    "JOIN_ALGORITHMS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Relation": "relation",
+        "Database": "database",
+        "database_from_tuples": "database",
+        "edge_database": "database",
+        "Engine": "engine",
+        "CompiledEngine": "compiled",
+        "VectorizedEngine": "compiled",
+        "ColumnStore": "columnar",
+        "CacheInfo": "cache",
+        "clear_interning": "columnar",
+        "interning_info": "columnar",
+        "ENGINES": "compiled",
+        "ENGINE_NAMES": "engine",
+        "make_engine": "compiled",
+        "DEFAULT_PLAN_CACHE_SIZE": "engine",
+        "evaluate": "engine",
+        "compiled_evaluate": "compiled",
+        "vectorized_evaluate": "compiled",
+        "is_nonempty": "engine",
+        "BagEngine": "bag_engine",
+        "bag_evaluate": "bag_engine",
+        "load_relation": "io",
+        "save_relation": "io",
+        "load_database": "io",
+        "save_database": "io",
+        "ExecutionStats": "stats",
+        "hash_join": "joins",
+        "sort_merge_join": "joins",
+        "nested_loop_join": "joins",
+        "get_join_algorithm": "joins",
+        "JOIN_ALGORITHMS": "joins",
+    },
+)

@@ -40,11 +40,6 @@ from __future__ import annotations
 from array import array
 from typing import Any, Iterable, Sequence
 
-try:  # numpy is optional: the vectorized kernels fall back to lists
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 __all__ = [
     "ColumnStore",
     "clear_interning",
@@ -52,8 +47,32 @@ __all__ = [
     "encode_value",
     "interning_info",
     "lookup_code",
+    "numpy_module",
     "pool_epoch",
 ]
+
+# ----------------------------------------------------------------------
+# numpy, imported on first demand
+# ----------------------------------------------------------------------
+_UNASKED = object()
+#: The numpy module, ``None`` when it cannot be imported, or ``_UNASKED``.
+_numpy: Any = _UNASKED
+
+
+def numpy_module() -> Any:
+    """numpy, or ``None`` when it cannot be imported (the vectorized
+    kernels then fall back to lists).  The import is tried by the first
+    call and its outcome kept, so a process that never lowers a
+    vectorized plan never loads numpy."""
+    global _numpy
+    if _numpy is _UNASKED:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _numpy = numpy
+    return _numpy
+
 
 # ----------------------------------------------------------------------
 # Global value dictionary (append-only, process-wide)
@@ -263,12 +282,11 @@ class ColumnStore:
         memoized — the payload of the array-kernel execution path.
         Raises :class:`RuntimeError` when numpy is unavailable (callers
         gate on it and use the code lists directly instead)."""
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("numpy is not available")
         if self._arrays is None:
-            self._arrays = tuple(
-                _np.asarray(col, dtype=_np.int64) for col in self.codes
-            )
+            np = numpy_module()
+            if np is None:  # pragma: no cover - exercised only without numpy
+                raise RuntimeError("numpy is not available")
+            self._arrays = tuple(np.asarray(col, dtype=np.int64) for col in self.codes)
         return self._arrays
 
     def rows(self) -> list[tuple]:

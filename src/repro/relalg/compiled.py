@@ -84,10 +84,11 @@ from repro.relalg.columnar import (
     ColumnStore,
     decode_column,
     lookup_code,
+    numpy_module,
     pool_epoch,
 )
 from repro.relalg.database import Database
-from repro.relalg.engine import DEFAULT_PLAN_CACHE_SIZE, Engine
+from repro.relalg.engine import DEFAULT_PLAN_CACHE_SIZE, ENGINE_NAMES, Engine
 from repro.relalg.relation import Relation, intern_header, join_layout
 from repro.relalg.stats import ExecutionStats
 
@@ -1086,13 +1087,23 @@ def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> 
 # each output equal to its batch length, so the stats calls below
 # reproduce the interpreter's counters exactly.
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+#: numpy as the last vectorized lowering found it (``None`` without it,
+#: and before any): set by :func:`_sync_numpy`, so the process imports
+#: numpy only once it lowers a plan that could take an array path.
+_np: Any = None
+_NP_EMPTY: Any = None
 
-if _np is not None:
-    _NP_EMPTY = _np.empty(0, dtype=_np.int64)
+
+def _sync_numpy() -> None:
+    """Point the kernels' ``_np`` at :func:`numpy_module`'s answer,
+    importing numpy the first time this runs.  ``_NP_EMPTY`` is set
+    first, so a thread that finds ``_np`` current finds it too."""
+    global _np, _NP_EMPTY
+    np = numpy_module()
+    if np is not _np:
+        _NP_EMPTY = None if np is None else np.empty(0, dtype=np.int64)
+        _np = np
+
 
 Batch = tuple[int, Any]
 
@@ -2715,6 +2726,12 @@ class VectorizedEngine(CompiledEngine):
         self._cache.replace_value(key, (batch, entry[1], result))
         return result
 
+    def _compile(self, plan: Plan) -> _Unit:
+        # Lowering is what asks for numpy: every row/array decision the
+        # units and their kernels make reads the answer it leaves.
+        _sync_numpy()
+        return super()._compile(plan)
+
     def _unit_children(self, node: Plan) -> tuple[Plan, ...]:
         """As the row lowering's, except that a scan unit has none and a
         pipeline's are its chain's source and stages' right sides: the
@@ -2808,9 +2825,6 @@ ENGINES: dict[str, type] = {
     "compiled": CompiledEngine,
     "vectorized": VectorizedEngine,
 }
-
-#: Names accepted by :func:`make_engine` and every ``--engine`` flag.
-ENGINE_NAMES: tuple[str, ...] = tuple(sorted(ENGINES))
 
 
 def make_engine(

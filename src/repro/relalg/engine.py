@@ -29,6 +29,12 @@ from repro.relalg.stats import ExecutionStats
 #: Default LRU capacity (in plan subtrees) of the engine's plan cache.
 DEFAULT_PLAN_CACHE_SIZE = 256
 
+#: Names of the execution backends (the keys of
+#: :data:`repro.relalg.compiled.ENGINES`), accepted by every ``--engine``
+#: flag.  Spelled out here so that a process validating an engine name —
+#: the CLI, a pool front end — need not import the compiled backends.
+ENGINE_NAMES: tuple[str, ...] = ("compiled", "interpreted", "vectorized")
+
 
 class Engine:
     """Evaluates :mod:`repro.plans` trees over a :class:`Database`.

@@ -37,55 +37,36 @@ driver that produces the checked-in ``BENCH_PR8.json``, and
 pool backend for ``BENCH_PR10.json``.
 """
 
-from repro.service.client import ServiceClient, ServiceError, ServiceRetryableError
-from repro.service.host import DatabaseHost
-from repro.service.pool import WorkerHandle, WorkerPool, plan_assignments
-from repro.service.prepared import (
-    PreparedStatement,
-    PreparedStatementCache,
-    QueryShape,
-    canonicalize_query,
-    shape_from_wire,
-    shape_to_wire,
-)
-from repro.service.protocol import (
-    ERROR_CODES,
-    MAX_LINE_BYTES,
-    RETRYABLE_CODES,
-    ProtocolError,
-    decode_line,
-    encode_message,
-    error_response,
-    ok_response,
-)
-from repro.service.server import QueryService, Session, ServiceConfig
-from repro.service.stats import LatencyRecorder, ServiceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatabaseHost",
-    "ERROR_CODES",
-    "LatencyRecorder",
-    "MAX_LINE_BYTES",
-    "PreparedStatement",
-    "PreparedStatementCache",
-    "ProtocolError",
-    "QueryService",
-    "QueryShape",
-    "RETRYABLE_CODES",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceRetryableError",
-    "ServiceStats",
-    "Session",
-    "WorkerHandle",
-    "WorkerPool",
-    "canonicalize_query",
-    "decode_line",
-    "encode_message",
-    "error_response",
-    "ok_response",
-    "plan_assignments",
-    "shape_from_wire",
-    "shape_to_wire",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "DatabaseHost": "host",
+        "ERROR_CODES": "protocol",
+        "LatencyRecorder": "stats",
+        "MAX_LINE_BYTES": "protocol",
+        "PreparedStatement": "prepared",
+        "PreparedStatementCache": "prepared",
+        "ProtocolError": "protocol",
+        "QueryService": "server",
+        "QueryShape": "prepared",
+        "RETRYABLE_CODES": "protocol",
+        "ServiceClient": "client",
+        "ServiceConfig": "server",
+        "ServiceError": "client",
+        "ServiceRetryableError": "client",
+        "ServiceStats": "stats",
+        "Session": "server",
+        "WorkerHandle": "pool",
+        "WorkerPool": "pool",
+        "canonicalize_query": "prepared",
+        "decode_line": "protocol",
+        "encode_message": "protocol",
+        "error_response": "protocol",
+        "ok_response": "protocol",
+        "plan_assignments": "pool",
+        "shape_from_wire": "prepared",
+        "shape_to_wire": "prepared",
+    },
+)

@@ -10,7 +10,7 @@ import time
 
 from repro.core.query import ConjunctiveQuery
 from repro.errors import CatalogError, PlanError, QueryStructureError, ReproError
-from repro.relalg.compiled import DEFAULT_PLAN_CACHE_SIZE, make_engine
+from repro.relalg.engine import DEFAULT_PLAN_CACHE_SIZE
 from repro.relalg.database import Database
 from repro.relalg.relation import Relation
 from repro.service.prepared import PreparedStatement, PreparedStatementCache
@@ -94,9 +94,13 @@ class DatabaseHost:
 
     def engine(self, engine_name: str):
         """The long-lived engine for ``engine_name`` (created on first
-        use, then kept warm for the life of the server)."""
+        use, then kept warm for the life of the server).  The backends are
+        imported by the first engine made, so a pool front end, which
+        never executes, never loads them."""
         engine = self._engines.get(engine_name)
         if engine is None:
+            from repro.relalg.compiled import make_engine
+
             engine = make_engine(
                 engine_name, self.database, plan_cache_size=self._plan_cache_size
             )

@@ -69,8 +69,8 @@ HEALTH_INTERVAL = 15.0
 #: like a crash.
 HARD_REQUEST_TIMEOUT = 300.0
 
-#: Handshake budget for a freshly spawned process (it imports the whole
-#: package from scratch).
+#: Handshake budget for a freshly spawned process (it imports what it
+#: runs from scratch).
 SPAWN_TIMEOUT = 60.0
 
 #: Seconds a terminated worker gets to exit before it is killed.
@@ -78,8 +78,8 @@ REAP_TIMEOUT = 5.0
 
 #: What a worker process runs; port and worker id follow on argv, the
 #: handshake secret arrives on stdin.  ``-c`` rather than ``-m
-#: repro.service.worker``: the package already imports that module, and
-#: running it again as ``__main__`` would execute it twice.
+#: repro.service.worker``: the module then runs under its own name, so
+#: nothing that imports it later gets a second copy of it as ``__main__``.
 WORKER_ENTRY = "from repro.service.worker import main; main()"
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.planner import METHODS
 from repro.datalog import parse_rule
-from repro.relalg.compiled import DEFAULT_PLAN_CACHE_SIZE, ENGINE_NAMES
+from repro.relalg.engine import DEFAULT_PLAN_CACHE_SIZE, ENGINE_NAMES
 from repro.relalg.database import Database
 from repro.service.host import DatabaseHost, _map_exception, _RequestError
 from repro.service.pool import LocalPool, WorkerPool

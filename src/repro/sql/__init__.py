@@ -13,78 +13,44 @@ The pipeline mirrors the paper's experimental loop:
    compile-time explosion Figure 2 documents.
 """
 
-from repro.sql.ast import (
-    ColumnRef,
-    Condition,
-    Equality,
-    Exists,
-    JoinExpr,
-    Literal,
-    SelectQuery,
-    SubqueryRef,
-    TableRef,
-    iter_subqueries,
-    render,
-    subquery_depth,
-)
-from repro.sql.executor import execute, execute_with_stats
-from repro.sql.generator import (
-    SQL_METHODS,
-    bucket_elimination_sql,
-    early_projection_sql,
-    generate_sql,
-    naive_sql,
-    plan_to_sql,
-    reordering_sql,
-    straightforward_sql,
-    yannakakis_sql,
-)
-from repro.sql.lexer import Token, tokenize
-from repro.sql.parser import parse
-from repro.sql.planner_sim import (
-    DEFAULT_GEQO_THRESHOLD,
-    CostModel,
-    PlannerResult,
-    dp_search,
-    geqo_search,
-    plan_naive,
-    simulated_annealing_search,
-    plan_straightforward,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnRef",
-    "Literal",
-    "Equality",
-    "Condition",
-    "Exists",
-    "TableRef",
-    "SubqueryRef",
-    "JoinExpr",
-    "SelectQuery",
-    "render",
-    "iter_subqueries",
-    "subquery_depth",
-    "tokenize",
-    "Token",
-    "parse",
-    "execute",
-    "execute_with_stats",
-    "SQL_METHODS",
-    "generate_sql",
-    "naive_sql",
-    "straightforward_sql",
-    "early_projection_sql",
-    "reordering_sql",
-    "bucket_elimination_sql",
-    "yannakakis_sql",
-    "plan_to_sql",
-    "CostModel",
-    "PlannerResult",
-    "dp_search",
-    "geqo_search",
-    "simulated_annealing_search",
-    "plan_naive",
-    "plan_straightforward",
-    "DEFAULT_GEQO_THRESHOLD",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ColumnRef": "ast",
+        "Literal": "ast",
+        "Equality": "ast",
+        "Condition": "ast",
+        "Exists": "ast",
+        "TableRef": "ast",
+        "SubqueryRef": "ast",
+        "JoinExpr": "ast",
+        "SelectQuery": "ast",
+        "render": "ast",
+        "iter_subqueries": "ast",
+        "subquery_depth": "ast",
+        "tokenize": "lexer",
+        "Token": "lexer",
+        "parse": "parser",
+        "execute": "executor",
+        "execute_with_stats": "executor",
+        "SQL_METHODS": "generator",
+        "generate_sql": "generator",
+        "naive_sql": "generator",
+        "straightforward_sql": "generator",
+        "early_projection_sql": "generator",
+        "reordering_sql": "generator",
+        "bucket_elimination_sql": "generator",
+        "yannakakis_sql": "generator",
+        "plan_to_sql": "generator",
+        "CostModel": "planner_sim",
+        "PlannerResult": "planner_sim",
+        "dp_search": "planner_sim",
+        "geqo_search": "planner_sim",
+        "simulated_annealing_search": "planner_sim",
+        "plan_naive": "planner_sim",
+        "plan_straightforward": "planner_sim",
+        "DEFAULT_GEQO_THRESHOLD": "planner_sim",
+    },
+)

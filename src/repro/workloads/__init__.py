@@ -10,92 +10,48 @@
   correspondence both of the above specialize.
 """
 
-from repro.workloads.coloring import (
-    ColoringInstance,
-    coloring_instance,
-    coloring_query,
-    count_colorings_brute_force,
-    is_colorable_brute_force,
-    sample_free_vertices,
-    variable_name,
-)
-from repro.workloads.csp import (
-    Constraint,
-    CspInstance,
-    all_different_constraint,
-    csp_to_query,
-    solve_brute_force,
-)
-from repro.workloads.graphs import (
-    STRUCTURED_FAMILIES,
-    Graph,
-    augmented_circular_ladder,
-    augmented_ladder,
-    augmented_path,
-    complete_graph,
-    cycle,
-    grid,
-    ladder,
-    path,
-    pentagon,
-    random_graph,
-    random_graph_with_density,
-    star,
-)
-from repro.workloads.mediator import (
-    MEDIATOR_SHAPES,
-    MediatorConfig,
-    chain_query,
-    snowflake_query,
-    star_query,
-)
-from repro.workloads.sat import (
-    SatFormula,
-    clause_relation,
-    clause_relation_name,
-    is_satisfiable_brute_force,
-    random_ksat,
-    sat_instance,
-    sat_variable_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "random_graph",
-    "random_graph_with_density",
-    "augmented_path",
-    "ladder",
-    "augmented_ladder",
-    "augmented_circular_ladder",
-    "cycle",
-    "path",
-    "complete_graph",
-    "grid",
-    "star",
-    "pentagon",
-    "STRUCTURED_FAMILIES",
-    "ColoringInstance",
-    "coloring_instance",
-    "coloring_query",
-    "sample_free_vertices",
-    "variable_name",
-    "is_colorable_brute_force",
-    "count_colorings_brute_force",
-    "SatFormula",
-    "random_ksat",
-    "sat_instance",
-    "sat_variable_name",
-    "clause_relation",
-    "clause_relation_name",
-    "is_satisfiable_brute_force",
-    "MediatorConfig",
-    "MEDIATOR_SHAPES",
-    "chain_query",
-    "star_query",
-    "snowflake_query",
-    "Constraint",
-    "CspInstance",
-    "csp_to_query",
-    "solve_brute_force",
-    "all_different_constraint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Graph": "graphs",
+        "random_graph": "graphs",
+        "random_graph_with_density": "graphs",
+        "augmented_path": "graphs",
+        "ladder": "graphs",
+        "augmented_ladder": "graphs",
+        "augmented_circular_ladder": "graphs",
+        "cycle": "graphs",
+        "path": "graphs",
+        "complete_graph": "graphs",
+        "grid": "graphs",
+        "star": "graphs",
+        "pentagon": "graphs",
+        "STRUCTURED_FAMILIES": "graphs",
+        "ColoringInstance": "coloring",
+        "coloring_instance": "coloring",
+        "coloring_query": "coloring",
+        "sample_free_vertices": "coloring",
+        "variable_name": "coloring",
+        "is_colorable_brute_force": "coloring",
+        "count_colorings_brute_force": "coloring",
+        "SatFormula": "sat",
+        "random_ksat": "sat",
+        "sat_instance": "sat",
+        "sat_variable_name": "sat",
+        "clause_relation": "sat",
+        "clause_relation_name": "sat",
+        "is_satisfiable_brute_force": "sat",
+        "MediatorConfig": "mediator",
+        "MEDIATOR_SHAPES": "mediator",
+        "chain_query": "mediator",
+        "star_query": "mediator",
+        "snowflake_query": "mediator",
+        "Constraint": "csp",
+        "CspInstance": "csp",
+        "csp_to_query": "csp",
+        "solve_brute_force": "csp",
+        "all_different_constraint": "csp",
+    },
+)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relalg import compiled
+from repro.relalg import columnar, compiled
 
 
 @pytest.fixture
@@ -24,9 +24,10 @@ def array_builds(monkeypatch):
 
 @pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
 def numpy_mode(request, monkeypatch):
-    """Runs the test once as installed and once with the engines'
-    numpy import gated off (the row kernels everywhere)."""
+    """Runs the test once as installed and once as if numpy could not be
+    imported (the row kernels everywhere): the accessor's cached answer
+    is what every vectorized lowering reads."""
     if not request.param:
-        monkeypatch.setattr(compiled, "_np", None)
-    elif compiled._np is None:
+        monkeypatch.setattr(columnar, "_numpy", None)
+    elif columnar.numpy_module() is None:
         pytest.skip("numpy is not installed")

@@ -20,7 +20,7 @@ from repro.errors import CatalogError, SchemaError
 from repro.plans import Join, Project, Scan, Semijoin, dependencies
 from repro.relalg import compiled
 from repro.relalg.cache import CatalogVersionTracker, DependencyCache
-from repro.relalg.columnar import clear_interning
+from repro.relalg.columnar import clear_interning, numpy_module
 from repro.relalg.compiled import CompiledEngine, VectorizedEngine, make_engine
 from repro.relalg.database import Database, database_from_tuples
 from repro.relalg.engine import Engine
@@ -325,7 +325,7 @@ def test_clear_interning_rederives_probe_structures(monkeypatch, array_builds):
     scan batches, row probe dicts and sets, array-path indexes — is
     built again under the new epoch.  The generated kernel's code object
     is positional (no codes in it) and is the one thing that survives."""
-    if compiled._np is None:
+    if numpy_module() is None:
         pytest.skip("array indexes need numpy")
     # Threshold 1: every batch takes the array path, so the on-demand
     # array indexes are built (and observable) on this tiny catalog.
@@ -542,7 +542,7 @@ class TestReshapedRelations:
         assert engine._compile(plan) is unit
 
 
-@pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
+@pytest.mark.skipif(numpy_module() is None, reason="the array path needs numpy")
 def test_pinned_chain_rebuilds_only_what_was_written(array_builds, monkeypatch):
     """A chain whose row pass once tripped the restart guard stays on the
     array path across writes, never builds a row probe again, and

@@ -41,7 +41,8 @@ from repro.core.planner import METHODS, plan_query
 from repro.datalog import parse_rule
 from repro.errors import SchemaError
 from repro.plans import Join, Project, Scan, Semijoin
-from repro.relalg import compiled
+from repro.relalg import columnar, compiled
+from repro.relalg.columnar import numpy_module
 from repro.relalg.compiled import (
     ENGINE_NAMES,
     CompiledEngine,
@@ -401,8 +402,8 @@ class TestPipelineCodeCache:
     @pytest.mark.parametrize("use_numpy", [True, False])
     def test_cache_hit_equals_miss(self, monkeypatch, use_numpy):
         if not use_numpy:
-            monkeypatch.setattr(compiled, "_np", None)
-        elif compiled._np is None:
+            monkeypatch.setattr(columnar, "_numpy", None)
+        elif numpy_module() is None:
             pytest.skip("numpy is not installed")
         plans = cold_plans()
         compiled._pipeline_code.cache_clear()
@@ -577,7 +578,7 @@ class TestLoweringCounts:
             gc.enable()
 
 
-@pytest.mark.skipif(compiled._np is None, reason="the array path needs numpy")
+@pytest.mark.skipif(numpy_module() is None, reason="the array path needs numpy")
 class TestOnDemandArrayStructures:
     """Array-path build sides over scan-unit right children are built by
     the first call that takes the array path over a given version of

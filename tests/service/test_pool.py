@@ -27,6 +27,7 @@ import pytest
 
 from repro.core.planner import plan_query
 from repro.datalog import parse_rule
+from repro.relalg.columnar import numpy_module
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import evaluate
 from repro.relalg.relation import Relation
@@ -452,6 +453,25 @@ def children_of(parent: int) -> dict[int, tuple[str, str]]:
     return out
 
 
+#: ``python -m repro`` with argv, then what it loaded of numpy and the
+#: compiled backends.
+SERVE_AND_REPORT = """
+import runpy, sys
+sys.argv[0] = "repro"
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit as done:
+    assert not done.code, done.code
+print("loaded:", [m for m in ("numpy", "repro.relalg.compiled") if m in sys.modules])
+"""
+
+
+def maps_numpy(pid: int) -> bool:
+    """Whether numpy's core extension module is mapped into ``pid``."""
+    with open(f"/proc/{pid}/maps") as handle:
+        return "_multiarray_umath" in handle.read()
+
+
 def wait_until(condition, seconds: float = 30.0) -> bool:
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
@@ -523,6 +543,46 @@ class TestProcessTree:
                 server.wait()
             server.stdout.close()
 
+    def test_a_front_end_loads_neither_numpy_nor_the_engines(self):
+        """A ``--workers 1`` server that has served vectorized reads and a
+        write: the worker lowered the plans and so imported numpy, the
+        front end only applied the write to its mirror and loaded neither
+        numpy nor the compiled backends.  (The server keeps this process's
+        import path, so it can import numpy exactly when this process
+        can.)"""
+        path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+        server = subprocess.Popen(
+            [
+                sys.executable, "-c", SERVE_AND_REPORT,
+                "serve", "--port", "0", "--workers", "1",
+            ],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = server.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
+            (worker,) = children_of(server.pid)
+            with ServiceClient("127.0.0.1", port) as client:
+                session = client.open_session(engine="vectorized")
+                client.update(session, "edge", insert=[[3, 4]])
+                rows = client.query(session, "q(X) :- edge(X, Y), edge(Y, 4).")["rows"]
+                assert sorted(rows) == [[1], [2]]
+                statement = client.prepare(session, "q(X) :- edge(1, X).")["statement"]
+                assert sorted(client.execute(session, statement, [2])["rows"]) == [[1], [3]]
+            assert not maps_numpy(server.pid)
+            assert maps_numpy(worker) == (numpy_module() is not None)
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+            assert server.stdout.read().strip() == "loaded: []"
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+
     def test_in_process_server_has_exactly_its_workers(self, live):
         before = set(children_of(os.getpid()))
         server = live(workers=2, replicas=1)
@@ -579,13 +639,29 @@ def test_a_worker_that_never_connects_is_terminated_and_waited_for(monkeypatch):
     assert pool.handles[0].process is None
 
 
-def test_a_running_worker_has_loaded_neither_networkx_nor_multiprocessing():
+#: What a pool worker serving the row engines never imports: the test-only
+#: graph oracle, the pool launcher the workers replaced, numpy (loaded by
+#: the first vectorized lowering only), the event loop and the front end's
+#: server and pool, the SQL route and the workload generators.
+WORKER_UNWANTED = (
+    "networkx",
+    "multiprocessing",
+    "numpy",
+    "asyncio",
+    "repro.service.server",
+    "repro.service.pool",
+    "repro.sql",
+    "repro.workloads",
+)
+
+
+def test_a_running_worker_loads_only_what_it_runs():
     """Play the parent to one real worker process — handshake, bootstrap,
-    a planned and executed query, stop — and have it report what it
-    imported on the way out."""
+    a planned and executed compiled query, stop — and have it report what
+    it imported on the way out."""
     report = (
         "; import sys; print('loaded:', "
-        "[m for m in ('networkx', 'multiprocessing') if m in sys.modules])"
+        f"[m for m in {WORKER_UNWANTED!r} if m in sys.modules])"
     )
     shape, values = canonicalize_query(parse_rule("q(X) :- edge(1, X), edge(X, Y)."))
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -625,7 +701,7 @@ def test_a_running_worker_has_loaded_neither_networkx_nor_multiprocessing():
                     {
                         "kind": "exec",
                         "db": "default",
-                        "engine": "vectorized",
+                        "engine": "compiled",
                         "method": "bucket",
                         "statement": 1,
                         "shape": shape_to_wire(shape),

@@ -1,10 +1,12 @@
-"""What a fresh ``repro`` process loads, and that its plans do not depend
-on the hash seed.
+"""What a fresh ``repro`` process loads, that it behaves the same when
+numpy cannot be imported, and that its plans do not depend on the hash
+seed.
 
 Start-up is paid by the server, by every pool worker and by every crash
 respawn, so the modules a process imports are part of the contract:
-``networkx`` (a test-only oracle now) and ``multiprocessing`` stay out.
-(The same check inside a running pool worker is in
+``networkx`` (a test-only oracle now) and ``multiprocessing`` stay out,
+and numpy is loaded only by the first vectorized lowering.  (The same
+check inside a running pool worker and a pool front end is in
 ``tests/service/test_pool.py``.)
 """
 
@@ -19,7 +21,7 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers"
-UNWANTED = ("networkx", "multiprocessing")
+UNWANTED = ("networkx", "multiprocessing", "numpy")
 
 REPORT = "import sys; print('loaded:', [m for m in %r if m in sys.modules])" % (UNWANTED,)
 
@@ -30,7 +32,7 @@ def run_python(code: str, *argv: str, **environment: str) -> str:
         capture_output=True,
         text=True,
         timeout=240,
-        env=dict(os.environ, PYTHONPATH=SRC, **environment),
+        env={**os.environ, "PYTHONPATH": SRC, **environment},
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     return completed.stdout
@@ -40,7 +42,9 @@ def test_import_repro_loads_neither():
     assert run_python("import repro; " + REPORT).strip() == "loaded: []"
 
 
-def test_planning_from_the_command_line_loads_neither():
+def run_cli(*argv: str) -> str:
+    """``python -m repro *argv``'s output, then what it loaded of
+    ``UNWANTED``."""
     code = (
         "import runpy, sys\n"
         "sys.argv[0] = 'repro'\n"
@@ -49,11 +53,73 @@ def test_planning_from_the_command_line_loads_neither():
         "except SystemExit as done:\n"
         "    assert not done.code, done.code\n" + REPORT
     )
-    out = run_python(
-        code, "plan", "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X).", "--method", "bucket"
+    return run_python(code, *argv)
+
+
+def test_planning_from_the_command_line_loads_neither():
+    out = run_cli(
+        "plan", "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X).", "--method", "bucket"
     )
     assert "Scan edge" in out
     assert out.strip().endswith("loaded: []")
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+def test_a_row_engine_run_loads_none(tmp_path, engine):
+    program = tmp_path / "triangle.dl"
+    program.write_text(
+        "edge(1, 2). edge(2, 3). edge(3, 1).\n"
+        "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X).\n"
+    )
+    out = run_cli("program", str(program), "--engine", engine)
+    assert "-- 3 rows" in out
+    assert out.strip().endswith("loaded: []")
+
+
+#: A vectorized run whose batches reach the array threshold, against the
+#: interpreter, printing what differs.
+LARGE_BATCHES = """
+import sys
+from repro.core.planner import plan_query
+from repro.datalog import parse_rule
+from repro.relalg import compiled
+from repro.relalg.compiled import VectorizedEngine
+from repro.relalg.database import Database
+from repro.relalg.engine import Engine
+from repro.relalg.relation import Relation
+
+n = 4 * compiled._ARRAY_MIN
+db = Database()
+db.add("r", Relation(("a", "b"), [(i, (7 * i + 3) % n) for i in range(n)]))
+db.add("s", Relation(("a", "b"), [(i, i % 5) for i in range(n)]))
+query = parse_rule("q(X, W) :- r(X, Y), r(Y, Z), s(Z, W), r(W, V).")
+for method in ("bucket", "early", "straightforward"):
+    plan = plan_query(query, method)
+    got, got_stats = VectorizedEngine(db).execute_with_stats(plan)
+    want, want_stats = Engine(db).execute_with_stats(plan)
+    assert got.cardinality >= compiled._ARRAY_MIN, got.cardinality
+    for counter in ("rows_built", "cache_hits", "cache_misses"):
+        setattr(got_stats, counter, 0)
+        setattr(want_stats, counter, 0)
+    print(method, got == want, got_stats == want_stats, got_stats.arity_trace == want_stats.arity_trace)
+print("numpy:", compiled._np, "numpy" in sys.modules)
+"""
+
+
+def test_without_numpy_the_vectorized_engine_answers_the_same(tmp_path):
+    """numpy installed but failing to import — a shadow package that
+    raises ``ImportError`` — leaves the vectorized engine on its row
+    kernels, with the interpreter's rows and logical counters."""
+    shadow = tmp_path / "numpy"
+    shadow.mkdir()
+    (shadow / "__init__.py").write_text("raise ImportError('numpy is shadowed')\n")
+    out = run_python(LARGE_BATCHES, PYTHONPATH=os.pathsep.join((str(tmp_path), SRC)))
+    assert out.splitlines() == [
+        "bucket True True True",
+        "early True True True",
+        "straightforward True True True",
+        "numpy: None False",
+    ]
 
 
 PLAN_COLD_CASES = """

@@ -2,10 +2,16 @@
 README quickstart actually works."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 def test_version():
@@ -27,12 +33,67 @@ def test_all_names_resolve():
         "repro.workloads",
         "repro.experiments",
         "repro.errors",
+        "repro.service",
     ],
 )
 def test_submodules_import(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", []):
         assert hasattr(mod, name), f"{module}.{name}"
+
+
+#: Imports every ``repro`` submodule first — so the import system has set
+#: each package attribute named after a submodule — and only then
+#: resolves every package's exports, printing the ones that went wrong.
+SHADOWING = """
+import importlib, pkgutil, types
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith("__main__"):
+        importlib.import_module(info.name)
+for package in %r:
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        value = getattr(module, name)
+        if isinstance(value, types.ModuleType) or name not in listed:
+            print(package, name)
+from repro import explain
+from repro.core import join_graph
+print(explain.__module__, join_graph.__module__)
+"""
+
+PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.experiments",
+    "repro.relalg",
+    "repro.service",
+    "repro.sql",
+    "repro.workloads",
+)
+
+
+def test_exports_survive_every_submodule_being_imported_first():
+    """Package exports resolve on first access; a name that is also a
+    submodule's (``repro.explain``, ``repro.core.join_graph``) must still
+    be the function once that submodule has been imported."""
+    completed = subprocess.run(
+        [sys.executable, "-c", SHADOWING % (PACKAGES,)],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.splitlines() == ["repro.explain repro.core.join_graph"]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_an_unlisted_name_is_an_attribute_error(package):
+    module = importlib.import_module(package)
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_export")
 
 
 def test_readme_quickstart():
