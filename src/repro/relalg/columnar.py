@@ -113,7 +113,8 @@ def decode_column(codes: Iterable[int]) -> list[Any]:
 
 
 def _interned_pool_size() -> int:
-    """Current dictionary size (exposed for tests)."""
+    """Current dictionary size: every code of the current epoch is below
+    it (the array kernels' key packing reads it)."""
     return len(_VALUES)
 
 

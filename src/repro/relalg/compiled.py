@@ -82,6 +82,7 @@ from repro.plans import Join, Plan, Project, Scan, Semijoin, dependencies, plan_
 from repro.relalg.cache import CacheInfo, CatalogVersionTracker, DependencyCache
 from repro.relalg.columnar import (
     ColumnStore,
+    _interned_pool_size,
     decode_column,
     lookup_code,
     numpy_module,
@@ -1046,10 +1047,12 @@ def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> 
 #   per-output-row set hashing that the distinctness invariant (below)
 #   makes unnecessary.
 # - **array form** — a ``tuple`` of ``int64`` numpy arrays, one per
-#   column.  Its kernels are whole-array operations: multi-column keys
-#   are packed void-dtype records (compared by memcmp), matching and
-#   membership are sort + searchsorted, gathers are fancy indexing, and
-#   dedup is ``np.unique``.
+#   column.  Its kernels are whole-array operations: a k-column key is
+#   the codes bit-packed into one ``int64`` while the interning pool fits
+#   ``63 // k`` bits per code, void-dtype records (compared by memcmp)
+#   over a larger pool (:func:`_npkeys`); matching and membership are
+#   sort + searchsorted, gathers are fancy indexing, and dedup is
+#   ``np.unique``.
 #
 # Each kernel dispatches per execution on its input cardinalities: if
 # either side holds at least ``_ARRAY_MIN`` rows the array path runs
@@ -1170,33 +1173,61 @@ def _kept(unit: _Unit, build: Callable[[Batch], Any]) -> Callable[[Batch], Any]:
 # ----------------------------------------------------------------------
 # Array kernels' shared primitives (numpy-backed; optional)
 # ----------------------------------------------------------------------
-def _npkeys(cols, positions: Sequence[int]):
+def _npkeys(cols, positions: Sequence[int], like=None):
     """Comparable 1-D key array for ``positions``: the ``int64`` column
-    itself for one position (zero-copy), a void view of the stacked
-    columns (one fixed-width record per row, memcmp-comparable) for
-    several."""
-    if len(positions) == 1:
-        return cols[positions[0]]
+    itself for one position (zero-copy).  For k >= 2 positions, the codes
+    bit-packed into one ``int64``, ``b = 63 // k`` bits each, the first
+    position most significant — exact while the interning pool holds at
+    most ``2**b`` codes, since every code is below the pool size — and
+    over a larger pool a void view of the stacked columns (one
+    fixed-width record per row, memcmp-comparable).
+
+    ``like`` — a right side's sorted keys — makes probe keys in that
+    side's form rather than the current pool's.  Within an epoch the pool
+    only grows, so a kept side built packed may meet rows holding a code
+    at or above ``2**b``; such a row equals no packed key and gets ``-1``,
+    which no packed key is.  A side built void is probed void."""
     k = len(positions)
-    n = len(cols[positions[0]])
-    stacked = _np.empty((n, k), dtype=_np.int64)
-    for j, p in enumerate(positions):
-        stacked[:, j] = cols[p]
-    return stacked.view(f"V{8 * k}").ravel()
+    if k == 1:
+        return cols[positions[0]]
+    bits = 63 // k
+    limit = 1 << bits
+    pool = _interned_pool_size()
+    void = pool > limit if like is None else like.dtype.kind == "V"
+    if void:
+        n = len(cols[positions[0]])
+        stacked = _np.empty((n, k), dtype=_np.int64)
+        for j, p in enumerate(positions):
+            stacked[:, j] = cols[p]
+        return stacked.view(f"V{8 * k}").ravel()
+    keys = cols[positions[0]] << bits
+    keys |= cols[positions[1]]
+    for p in positions[2:]:
+        keys <<= bits
+        keys |= cols[p]
+    if pool > limit:  # probing a side packed under a smaller pool
+        wide = cols[positions[0]] >= limit
+        for p in positions[1:]:
+            wide |= cols[p] >= limit
+        keys[wide] = -1
+    return keys
 
 
-def _npmask(lkeys, rsorted):
-    """Boolean membership mask of ``lkeys`` in the sorted, non-empty key
-    array ``rsorted``."""
+def _npmask(lcols, left_key, rsorted):
+    """Boolean membership mask of the rows of ``lcols`` on ``left_key``
+    in the sorted, non-empty key array ``rsorted``."""
+    lkeys = _npkeys(lcols, left_key, rsorted)
     pos = _np.searchsorted(rsorted, lkeys)
     _np.minimum(pos, len(rsorted) - 1, out=pos)
     return rsorted[pos] == lkeys
 
 
-def _npmatch_sorted(lkeys, order, rsorted):
-    """All matching (left_row, right_row) index pairs against a
-    pre-sorted right side: range-lookup each left key, expand the ranges
-    arithmetically into two aligned ``int64`` index arrays."""
+def _npmatch_sorted(lcols, left_key, order, rsorted):
+    """All matching (left_row, right_row) index pairs of the rows of
+    ``lcols`` on ``left_key`` against a pre-sorted right side:
+    range-lookup each left key, expand the ranges arithmetically into two
+    aligned ``int64`` index arrays."""
+    lkeys = _npkeys(lcols, left_key, rsorted)
     lo = _np.searchsorted(rsorted, lkeys, side="left")
     hi = _np.searchsorted(rsorted, lkeys, side="right")
     counts = hi - lo
@@ -1209,10 +1240,10 @@ def _npmatch_sorted(lkeys, order, rsorted):
     return lidx, ridx
 
 
-def _npmatch(lkeys, rkeys):
+def _npmatch(lcols, left_key, rkeys):
     """:func:`_npmatch_sorted` with the right side sorted here."""
     order = _np.argsort(rkeys, kind="stable")
-    return _npmatch_sorted(lkeys, order, rkeys[order])
+    return _npmatch_sorted(lcols, left_key, order, rkeys[order])
 
 
 def _npdistinct_cols(cols, nrows: int):
@@ -1223,8 +1254,7 @@ def _npdistinct_cols(cols, nrows: int):
         return (1 if nrows else 0), ()
     if not nrows:
         return 0, cols
-    keys = cols[0] if len(cols) == 1 else _npkeys(cols, tuple(range(len(cols))))
-    first = _np.unique(keys, return_index=True)[1]
+    first = _np.unique(_npkeys(cols, range(len(cols))), return_index=True)[1]
     if len(first) == nrows:
         return nrows, cols
     return len(first), tuple(c[first] for c in cols)
@@ -1427,7 +1457,7 @@ def _vjoin_filter_np(runit, left_key, right_key, larity, rarity, arity):
         ln, rn = lbatch[0], rbatch[0]
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
-            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            mask = _npmask(lcols, left_key, nplookup(rbatch))
             cardinality = int(mask.sum())
             out = (
                 lbatch[1]  # nothing filtered: reuse the payload
@@ -1509,11 +1539,10 @@ def _vjoin_hash_np(runit, left_key, right_key, right_extra, larity, rarity, arit
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
             rcols = _to_cols(rbatch, rarity)
-            lkeys = _npkeys(lcols, left_key)
             if np_rindex is not None:
-                lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
+                lidx, ridx = _npmatch_sorted(lcols, left_key, *np_rindex(rbatch))
             else:
-                lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
+                lidx, ridx = _npmatch(lcols, left_key, _npkeys(rcols, right_key))
             cardinality = len(lidx)
             out = tuple(col[lidx] for col in lcols) + tuple(
                 rcols[p][ridx] for p in right_extra
@@ -1587,7 +1616,7 @@ def _vsemijoin_np(runit, left_key, right_key, larity, rarity, arity):
         ln, rn = lbatch[0], rbatch[0]
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
-            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            mask = _npmask(lcols, left_key, nplookup(rbatch))
             matched = int(mask.sum())
             if matched == ln:
                 stats.record_bulk(0, 1, 0, 0, ln, 0, ln, arity, 0, trace)
@@ -1804,7 +1833,7 @@ def _vpj_filter_np(runit, left_key, right_key, positions, larity, rarity, finish
         ln, rn = lbatch[0], rbatch[0]
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
-            mask = _npmask(_npkeys(lcols, left_key), nplookup(rbatch))
+            mask = _npmask(lcols, left_key, nplookup(rbatch))
             wide = int(mask.sum())
             out = _npdistinct_cols(tuple(lcols[p][mask] for p in positions), wide)
         else:
@@ -1883,7 +1912,7 @@ def _vpj_left_np(runit, left_key, right_key, positions, larity, rarity, finish):
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
             rsorted = np_rsorted(rbatch)
-            lkeys = _npkeys(lcols, left_key)
+            lkeys = _npkeys(lcols, left_key, rsorted)
             lo = _np.searchsorted(rsorted, lkeys, side="left")
             hi = _np.searchsorted(rsorted, lkeys, side="right")
             counts = hi - lo
@@ -1992,11 +2021,10 @@ def _vpj_hash_np(runit, spec, left_key, right_key, right_extra, larity, rarity, 
         if ln and rn:
             lcols = _to_cols(lbatch, larity)
             rcols = _to_cols(rbatch, rarity)
-            lkeys = _npkeys(lcols, left_key)
             if np_rindex is not None:
-                lidx, ridx = _npmatch_sorted(lkeys, *np_rindex(rbatch))
+                lidx, ridx = _npmatch_sorted(lcols, left_key, *np_rindex(rbatch))
             else:
-                lidx, ridx = _npmatch(lkeys, _npkeys(rcols, right_key))
+                lidx, ridx = _npmatch(lcols, left_key, _npkeys(rcols, right_key))
             wide = len(lidx)
             wide_cols = tuple(
                 lcols[i][lidx] if side == "l" else rcols[right_extra[i]][ridx]
@@ -2408,10 +2436,10 @@ def _stage_probe(join: bool, right_key: tuple[int, ...], right_extra: tuple[int,
     return lambda bound: set(map(rkey, _batch_rows(bound[0])))
 
 
-def _stage_arrays(st: _PipeStage) -> Callable[[tuple], tuple]:
+def _stage_arrays(st: _PipeStage, extras: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """Array-path build side of one stage, same input: ``((order,
-    sorted_keys), extra_columns)`` for a join, the sorted keys for a
-    filter."""
+    sorted_keys), extra_columns)`` for a join — the right columns at
+    ``extras`` — the sorted keys for a filter."""
     rarity = len(st.right.header)
     if st.kind == "join":
 
@@ -2419,54 +2447,85 @@ def _stage_arrays(st: _PipeStage) -> Callable[[tuple], tuple]:
             rcols = _to_cols(bound[0], rarity)  # converted once, for both
             return (
                 _npjoin_index((bound[0][0], rcols), st.right_key, rarity),
-                tuple(rcols[p] for p in st.right_extra),
+                tuple(rcols[p] for p in extras),
             )
 
         return build
     return lambda bound: _npsorted_keys(bound[0], st.right_key, rarity)
 
 
+def _pipe_live(
+    stages: list[_PipeStage], project: tuple[int, ...] | None
+) -> list[tuple[int, ...]]:
+    """The chain positions each stage's output must carry, ascending: the
+    ones a later stage's ``left_key`` or the chain's output reads — the
+    projection's positions, every column of a bare chain.  Early
+    projection one level down: a column leaves the chain at the first
+    stage after its last reader."""
+    live = set(range(stages[-1].arity) if project is None else project)
+    kept = []
+    for st in reversed(stages):
+        kept.append(tuple(sorted(p for p in live if p < st.arity)))
+        live.update(st.left_key)
+    return kept[::-1]
+
+
 def _pipe_np(stages, arity0, finish, proj_positions):
     """The array path of a fused chain (:func:`_pipe_np_run` over the
-    stages' build-side cells), made by the first call that takes it."""
-    npstages = [
-        (st.kind == "join", st.left_key, st.right.bound, _cell(_stage_arrays(st)))
-        for st in stages
-    ]
+    stages' build-side cells), made by the first call that takes it.
+    Each stage's key, gather and extra positions are rewritten into the
+    narrowed layout :func:`_pipe_live` leaves before it."""
+    held = tuple(range(arity0))  # the chain positions the columns hold
+    npstages = []
+    for st, kept in zip(stages, _pipe_live(stages, proj_positions)):
+        base = st.arity - len(st.right_extra)
+        extras = tuple(st.right_extra[p - base] for p in kept if p >= base)
+        npstages.append((
+            st.kind == "join",
+            tuple(map(held.index, st.left_key)),
+            tuple(held.index(p) for p in kept if p < base),
+            st.right.bound,
+            _cell(_stage_arrays(st, extras)),
+        ))
+        held = kept
+    out = None if proj_positions is None else tuple(map(held.index, proj_positions))
     return lambda stats, lbatch: _pipe_np_run(
-        stats, lbatch, arity0, npstages, finish, proj_positions
+        stats, lbatch, arity0, npstages, finish, out
     )
 
 
 def _pipe_np_run(stats, lbatch, arity0, npstages, finish, proj_positions):
-    """Array-path executor of a fused chain: one gather per stage over
-    full-width columns (the same work the standalone array kernels would
-    do), with the match counts feeding the same ``finish`` bookkeeping
-    as the generated row kernel."""
+    """Array-path executor of a fused chain: per stage, one gather of the
+    columns still live after it (:func:`_pipe_live`) — a filter that
+    drops no row gathers nothing — with the match counts feeding the
+    same ``finish`` bookkeeping as the generated row kernel."""
     ln = lbatch[0]
     cols = _to_cols(lbatch, arity0)
     counts = []
     rights = []
     n = ln
-    for is_join, left_key, right, arrays in npstages:
+    for is_join, left_key, keep, right, arrays in npstages:
         bound = right()
         rights.append(bound)
         if n == 0 or bound[0][0] == 0:
             counts.append(0)
             n = 0
             continue
-        lkeys = _npkeys(cols, left_key)
         if is_join:
             np_index, np_extras = arrays(bound)
-            lidx, ridx = _npmatch_sorted(lkeys, *np_index)
-            cols = tuple(col[lidx] for col in cols) + tuple(
+            lidx, ridx = _npmatch_sorted(cols, left_key, *np_index)
+            cols = tuple(cols[p][lidx] for p in keep) + tuple(
                 e[ridx] for e in np_extras
             )
             n = len(lidx)
         else:
-            mask = _npmask(lkeys, arrays(bound))
-            cols = tuple(col[mask] for col in cols)
-            n = int(mask.sum())
+            mask = _npmask(cols, left_key, arrays(bound))
+            matched = int(mask.sum())
+            if matched == n:
+                cols = tuple(cols[p] for p in keep)
+            else:
+                cols = tuple(cols[p][mask] for p in keep)
+            n = matched
         counts.append(n)
     if proj_positions is not None:
         if n:

@@ -23,7 +23,10 @@ hashing.  This module pins:
   structures only on a unit's first array-path call;
 - what a cold pass lowers: only units that run, not many more objects
   for the cyclic collector to track per unit than the row lowering, and
-  nothing left for it to free once the engine is dropped.
+  nothing left for it to free once the engine is dropped;
+- the array kernels' key forms (bit-packed ``int64`` while the interning
+  pool fits, void records past it, kept right sides probed in the form
+  they were built in) and a chain's live-column gathers.
 
 The hypothesis-driven three-way differential lives in
 ``tests/test_compiled_differential.py``.
@@ -654,3 +657,152 @@ class TestOnDemandArrayStructures:
         for _ in range(3):
             assert engine.execute(plan) == Engine(database).execute(plan)
         assert array_builds == ["_npjoin_index"]
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="the array path needs numpy")
+class TestPackedKeys:
+    """A k-column key is its codes bit-packed into one ``int64``
+    (``63 // k`` bits each) while the interning pool fits that width,
+    void records over a larger pool.  A right side kept in a cell keeps
+    the form it was built in, and a probe follows that form, not the
+    pool: here 8- and 9-column keys (7 bits, a 128-code boundary) on
+    every array kernel, before the pool crosses the boundary, after an
+    unrelated relation pushes it across (the right sides stay packed and
+    left rows holding codes >= 128 alias packed keys unless they are
+    kept out), and after the right side is rewritten (rebuilt void)."""
+
+    KEY = tuple(f"k{j}" for j in range(8))
+
+    def plans(self) -> list:
+        left = Scan("l", self.KEY + ("x",))
+        right = Scan("r", self.KEY + ("y",))
+        join = Join(left, right)
+        return [
+            join,
+            Semijoin(left, right),
+            Project(join, self.KEY),  # left-only projection: 8-column dedup
+            Project(join, ("x", "y")),
+            Semijoin(join, right),  # a two-stage chain, 9-column key
+        ]
+
+    @staticmethod
+    def assert_matches_interpreter(engine, plans, database) -> None:
+        for plan in plans:
+            result, stats = engine.execute_with_stats(plan)
+            expected, expected_stats = Engine(
+                database, plan_cache_size=0
+            ).execute_with_stats(plan)
+            assert result == expected
+            assert logical(stats) == logical(expected_stats)
+
+    def test_forms_across_pool_growth(self, monkeypatch, array_builds):
+        np = numpy_module()
+        monkeypatch.setattr(compiled, "_ARRAY_MIN", 1)
+        columnar.clear_interning()
+        for value in range(128):
+            assert columnar.encode_value(value) == value  # code == value
+        fill = (5, 5, 5, 5, 5, 5)
+        database = Database(
+            {
+                "l": Relation(
+                    self.KEY + ("x",),
+                    [(1, c) + fill + (c % 3,) for c in range(0, 128, 2)]
+                    + [(0, 0) + fill + (0,)],
+                ),
+                "r": Relation(
+                    self.KEY + ("y",),
+                    [(1, c) + fill + (c % 7,) for c in range(128)]
+                    + [(2, 3, 4, 5, 6, 7, 8, 9, 10)],
+                ),
+            }
+        )
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        plans = self.plans()
+
+        # 1. The pool fits: every key is packed.
+        self.assert_matches_interpreter(engine, plans, database)
+        assert columnar._interned_pool_size() == 128
+        cols = database.get("l").columnar().arrays()
+        assert compiled._npkeys(cols, tuple(range(8))).dtype == np.int64
+        built = sorted(array_builds)
+        assert built
+
+        # 2. An unrelated relation grows the pool past 128; the left side
+        # gains rows (0, w, ...) whose code c >= 128 packs like the right
+        # row (1, c - 128, ...).  The right sides are kept, still packed.
+        database.add("other", Relation(("u",), [(1000 + i,) for i in range(72)]))
+        database.get("other").columnar()
+        assert columnar._interned_pool_size() == 200
+        aliases = [(0, 1000 + i) + fill + (1,) for i in range(72)]
+        assert all(columnar.lookup_code(row[1]) >= 128 for row in aliases)
+        database.insert_rows("l", aliases)
+        del array_builds[:]
+        self.assert_matches_interpreter(engine, plans, database)
+        assert array_builds == []  # probed the structures built in phase 1
+        cols = database.get("l").columnar().arrays()
+        assert compiled._npkeys(cols, (0, 1)).dtype == np.int64
+        assert compiled._npkeys(cols, tuple(range(8))).dtype.kind == "V"
+
+        # 3. The right side is rewritten after the growth: rebuilt void,
+        # and the alias rows now have a real partner.
+        database.insert_rows("r", [(0, 1000) + fill + (2,)])
+        self.assert_matches_interpreter(engine, plans, database)
+        assert sorted(array_builds) == built
+        result = engine.execute(plans[0])
+        assert (0, 1000) + fill + (1, 2) in result.rows
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="the array path needs numpy")
+class TestChainLiveness:
+    """The array path of a fused chain carries a column only while a
+    later stage's key or the chain's output still reads it."""
+
+    QUERY = parse_rule(
+        "q(X0, X4) :- "
+        + ", ".join(f"edge(X{i}, X{i + 1})" for i in range(9))
+        + "."
+    )
+
+    def run_recorded(self, monkeypatch, plan):
+        """Executes ``plan`` three times on the array path; returns what
+        each unit's :func:`_pipe_live` answered, in call order."""
+        monkeypatch.setattr(compiled, "_ARRAY_MIN", 1)
+        recorded = []
+        live = compiled._pipe_live
+
+        def recording(stages, project):
+            recorded.append((stages, project, live(stages, project)))
+            return recorded[-1][2]
+
+        monkeypatch.setattr(compiled, "_pipe_live", recording)
+        database = edge_database()
+        engine = VectorizedEngine(database, plan_cache_size=0)
+        for _ in range(3):
+            result, stats = engine.execute_with_stats(plan)
+            expected, expected_stats = Engine(
+                database, plan_cache_size=0
+            ).execute_with_stats(plan)
+            assert result == expected
+            assert logical(stats) == logical(expected_stats)
+        return recorded
+
+    def test_projected_chain_keeps_later_keys_and_output(
+        self, monkeypatch, array_builds
+    ):
+        plan = plan_query(self.QUERY, "straightforward", rng=random.Random(0))
+        assert isinstance(plan, Project)
+        [(stages, project, kept)] = self.run_recorded(monkeypatch, plan)
+        assert len(stages) == 8 and len(project) == 2
+        for i, st in enumerate(stages):
+            read = set(project).union(*(later.left_key for later in stages[i + 1:]))
+            assert kept[i] == tuple(sorted(p for p in read if p < st.arity)), i
+        assert sum(map(len, kept)) < sum(st.arity for st in stages)
+        # One build side per stage, made once and kept across executions.
+        assert array_builds == ["_npjoin_index"] * 8
+
+    def test_bare_chain_keeps_every_column(self, monkeypatch, array_builds):
+        plan = plan_query(self.QUERY, "straightforward", rng=random.Random(0)).child
+        [(stages, project, kept)] = self.run_recorded(monkeypatch, plan)
+        assert len(stages) == 8 and project is None
+        assert kept == [tuple(range(st.arity)) for st in stages]
+        assert array_builds == ["_npjoin_index"] * 8

@@ -17,15 +17,22 @@ contract from three directions:
 - random **databases** (varying arities, cardinalities, skew, constants
   via repeated variables) with random queries over them.
 
+No hypothesis example reaches the array threshold, so each property
+runs a second time with ``_ARRAY_MIN`` at 1: every batch then takes the
+array kernels (bit-packed and void keys, liveness-pruned chain gathers).
+
 Deep-plan (2000-atom) coverage lives in ``tests/test_deep_plans.py``.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core import is_acyclic
 from repro.core.planner import METHODS, plan_query
+from repro.relalg import compiled
+from repro.relalg.columnar import numpy_module
 from repro.relalg.compiled import CompiledEngine, VectorizedEngine
 from repro.relalg.database import edge_database
 from repro.relalg.engine import Engine
@@ -92,3 +99,19 @@ def test_random_databases_agree(setup):
             continue  # rejects cyclic queries by design
         plan = plan_query(query, method, rng=random.Random(0))
         assert_engines_agree(plan, database)
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        test_all_six_methods_agree_on_acyclic_queries,
+        test_bushy_plans_agree,
+        test_random_databases_agree,
+    ],
+    ids=["acyclic", "bushy", "random-databases"],
+)
+def test_properties_hold_on_the_array_kernels(prop, monkeypatch):
+    if numpy_module() is None:
+        pytest.skip("the array kernels need numpy")
+    monkeypatch.setattr(compiled, "_ARRAY_MIN", 1)
+    prop()
