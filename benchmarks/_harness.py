@@ -186,8 +186,7 @@ def run_suite(
         }
         if len(engines) >= 2:
             # Speedup convention: first requested engine is the baseline,
-            # last is the subject (interpreted/compiled for the classic
-            # pair, compiled/vectorized for the columnar artifact).
+            # last is the subject.
             subject_median = per_engine[engines[-1]]["median_s"]
             entry["speedup"] = (
                 per_engine[engines[0]]["median_s"] / subject_median
@@ -264,9 +263,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         dest="engines",
         action="append",
         choices=ENGINE_CHOICES,
-        help="engine(s) to run; repeatable (default: the suite's pair; "
-        "with two or more, the first is the speedup baseline and the "
-        "last the subject)",
+        help="engine(s) to run; repeatable (default: interpreted and "
+        "compiled; with two or more, the first is the speedup baseline "
+        "and the last the subject)",
     )
     parser.add_argument(
         "--warmup", type=int, default=DEFAULT_WARMUP, help="unrecorded calls per case"
@@ -284,19 +283,12 @@ def run_main(
     suite: str,
     build_cases: Callable[[], Sequence[Case]],
     argv: Sequence[str] | None = None,
-    default_engines: Sequence[str] = DEFAULT_ENGINES,
-    postprocess: Callable[[dict], dict] | None = None,
 ) -> int:
-    """Standard ``main`` shared by the standalone ``bench_fig*`` scripts.
-
-    ``default_engines`` sets the engine pair when ``--engine`` is not
-    given; ``postprocess`` may amend the document before it is written
-    (e.g. per-figure summaries).
-    """
+    """Standard ``main`` shared by the standalone ``bench_fig*`` scripts."""
     parser = argparse.ArgumentParser(description=f"Benchmark suite: {suite}")
     add_arguments(parser)
     args = parser.parse_args(argv)
-    engines = tuple(args.engines) if args.engines else tuple(default_engines)
+    engines = tuple(args.engines) if args.engines else DEFAULT_ENGINES
     results = run_suite(
         build_cases(),
         engines=engines,
@@ -308,8 +300,6 @@ def run_main(
     document = build_document(
         suite, results, engines, args.warmup, args.repeat, args.smoke
     )
-    if postprocess is not None:
-        document = postprocess(document)
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text)

@@ -31,10 +31,9 @@ sustained concurrent traffic (the ROADMAP's north star).  It provides:
   introspection op (whose ``reset`` flag zeroes the window).
 
 See ``docs/SERVICE.md`` for the protocol spec and a worked client
-example; ``benchmarks/bench_pr8_service.py`` is the concurrent traffic
-driver that produces the checked-in ``BENCH_PR8.json``, and
-``benchmarks/bench_pr10_pool.py`` drives the same workload through the
-pool backend for ``BENCH_PR10.json``.
+example; the layered benchmark's ``serve_warm``, ``serve_mixed`` and
+``serve_pool`` workloads (``benchmarks/layers/``) measure served traffic
+on both backends.
 """
 
 from repro._lazy import lazy_exports

@@ -29,7 +29,7 @@ from repro.core.planner import plan_query
 from repro.datalog import parse_rule
 from repro.relalg.columnar import numpy_module
 from repro.relalg.database import Database, edge_database
-from repro.relalg.engine import evaluate
+from repro.relalg.engine import ENGINE_NAMES, evaluate
 from repro.relalg.relation import Relation
 from repro.service import QueryService, ServiceClient, ServiceConfig, ServiceError
 from repro.service import pool as pool_module
@@ -255,6 +255,39 @@ class TestReadYourWrites:
             second = client.update(session, "graph", insert=[[50, 60]])
             assert second["inserted"] == 0
             assert second["version"] == first["version"]  # no-op delta
+
+
+def shard_database(shard: int) -> Database:
+    """Same schema as :func:`pool_database`, contents differing by shard."""
+    db = edge_database()
+    rows = [(i, (i * 3 + 1 + shard) % 7) for i in range(7)] + [(shard, 5)]
+    db.add("graph", Relation(("u", "w"), rows))
+    return db
+
+
+class TestSharding:
+    def test_sharded_answers_match_direct_evaluate_on_every_engine(self, live):
+        """Four databases over two workers with a replica each: every
+        engine on every shard answers what ``evaluate()`` does, whichever
+        worker serves the read."""
+        shards = {f"s{i}": shard_database(i) for i in range(4)}
+        server = live(shards, workers=2, replicas=1)
+        rules = [
+            "q(X) :- graph(2, X), graph(X, Y).",
+            "q(X, Y) :- graph(X, Y), graph(Y, Z), graph(Z, X).",
+        ]
+        with server.client() as client:
+            for engine, shard in [(e, s) for e in ENGINE_NAMES for s in range(4)]:
+                session = client.open_session(database=f"s{shard}", engine=engine)
+                for rule in rules:
+                    plan = plan_query(parse_rule(rule), "bucket", rng=random.Random(0))
+                    expected, _ = evaluate(plan, shard_database(shard), engine=engine)
+                    for _ in range(2):  # rotation: primary, then replica
+                        served = client.query(session, rule)["rows"]
+                        assert {tuple(r) for r in served} == expected.rows, rule
+            pool = client.stats_snapshot()["pool"]
+            assert {entry["primary"] for entry in pool["assignments"].values()} == {0, 1}
+            assert pool["reads_replica"] > 0
 
 
 class TestCrashRecovery:
