@@ -161,10 +161,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="worker processes for the multi-process pool backend "
         "(0 = one executor thread in the server process)",
     )
+    # Accepted only as 0 and hidden: the layered benchmark still passes
+    # "--replicas 0" from the time each database could have read replicas.
     serve_cmd.add_argument(
-        "--replicas", type=int, default=1,
-        help="read replicas per database in pool mode "
-        "(clamped to workers-1; ignored when --workers 0)",
+        "--replicas", type=int, choices=[0], default=0, help=argparse.SUPPRESS
     )
     return parser
 
@@ -304,6 +304,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.relalg.database import edge_database
     from repro.service import QueryService, ServiceConfig
 
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            queue_limit=args.queue_limit,
+            request_timeout=args.request_timeout,
+            max_sessions=args.max_sessions,
+            prepared_cache_size=args.prepared_cache_size,
+            default_engine=args.default_engine,
+            default_method=args.default_method,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     databases = {}
     for spec in args.db:
         name, sep, directory = spec.partition("=")
@@ -317,19 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         databases[name] = edge_database()
     if not databases:
         databases["default"] = edge_database()
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        request_timeout=args.request_timeout,
-        max_sessions=args.max_sessions,
-        prepared_cache_size=args.prepared_cache_size,
-        default_engine=args.default_engine,
-        default_method=args.default_method,
-        workers=args.workers,
-        replicas=args.replicas,
-    )
     service = QueryService(databases, config)
 
     async def run() -> None:

@@ -20,14 +20,14 @@ sustained concurrent traffic (the ROADMAP's north star).  It provides:
   and one pump per executor, with per-request queue-wait timeouts;
 - a multi-process worker pool backend (:mod:`repro.service.pool` /
   :mod:`repro.service.worker`): database-affinity sharding across N
-  worker processes, primary/replica read routing with read-your-writes
-  gating, cross-process reuse of canonical query shapes, and crash
-  detection with respawn-from-snapshot (``ServiceConfig.workers``;
+  worker processes, each database on the one worker that runs all its
+  reads and writes, cross-process reuse of canonical query shapes, and
+  crash detection with respawn-from-snapshot (``ServiceConfig.workers``;
   ``0`` runs the executor on one thread of the server process);
 - :class:`ServiceStats` (:mod:`repro.service.stats`): per-operation
   latency percentiles, shape-cache and engine-cache hit rates, queue
   depth, per-method planning telemetry, and — in pool mode — per-worker
-  dispatch counts and replica-lag gauges, surfaced via the ``stats``
+  dispatch counts and liveness, surfaced via the ``stats``
   introspection op (whose ``reset`` flag zeroes the window).
 
 See ``docs/SERVICE.md`` for the protocol spec and a worked client

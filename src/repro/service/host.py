@@ -51,9 +51,8 @@ def apply_catalog_delta(database, relation: str, insert, delete):
     atomic (the catalog validates before mutating), so the result —
     including the partial state left behind when the delete half fails
     after a successful insert — is a pure function of (catalog state,
-    delta).  Primary, replicas, and the front end's mirror all call this
-    one function, which is what keeps every copy identical without a
-    consensus protocol.
+    delta).  The owning worker and the front end's mirror both call
+    this one function, which is what keeps the two copies identical.
     """
     inserted = deleted = 0
     error = None
@@ -62,7 +61,7 @@ def apply_catalog_delta(database, relation: str, insert, delete):
             inserted = database.insert_rows(relation, insert)
         if delete:
             deleted = database.delete_rows(relation, delete)
-    except Exception as exc:  # surfaced by the primary, swallowed by replicas
+    except Exception as exc:  # surfaced by the owner, swallowed by the mirror
         error = exc
     return inserted, deleted, error
 

@@ -1,38 +1,25 @@
-"""Multi-process engine worker pool: sharding, routing, replication.
+"""Multi-process engine worker pool: sharding and crash recovery.
 
 This is the parent-side half of the pool backend (the child side is
 ``repro.service.worker``).  A :class:`WorkerPool` owns N worker
 processes connected over loopback TCP with length-prefixed pickle
-frames, and gives the front end three things:
+frames, and gives the front end two things:
 
 **Database-affinity sharding.**  Databases are assigned to workers by
-sorted name: database *i* gets worker ``i % N`` as its *primary* and the
-next ``K`` workers (mod N) as read *replicas*.  Every write for a
-database — ``update`` deltas and the catalog version bumps they imply —
-runs on its primary, so per-database write order is simply the
-primary's FIFO queue order.  Reads fan out across primary + replicas.
-
-**Replica sync with read-your-writes.**  The pool stamps each write
-with a per-database monotonic sequence number.  After the primary acks
-a write, the front end mirrors the delta into its own authoritative
-catalog copy and the pool forwards an ``apply`` frame to each replica;
-a replica's ack advances its ``applied_seq`` for that database.  A read
-that must observe a session's writes carries the highest sequence
-number that session wrote to any scanned relation, and only workers
-whose ``applied_seq`` has reached it are eligible — the primary always
-is, because its queue already ordered the write before the read.  Other
-sessions' reads are free to hit any replica (monotonic, possibly
-slightly stale — the same contract a read replica gives you anywhere).
+sorted name: database *i* lives on worker ``i % N``, its *owner*, which
+runs every read and every write of that database.  Per-database order
+is simply the owner's FIFO queue order, so a read issued after a write
+was acknowledged observes it, whichever session issued either.  After
+the owner acks a write, the front end mirrors the delta into its own
+catalog copy, which is what a respawn bootstraps from.
 
 **Failure semantics.**  The pump detects a worker crash as EOF (or an
 IPC error) on its socket.  The in-flight request fails with the
 retryable ``worker_failed`` error code — for a write this means *not
-durable*: the front-end mirror is only updated after the primary acks,
+durable*: the front-end mirror is only updated after the owner acks,
 so a failed write is absent from every copy.  Queued requests stay
 queued; the worker is respawned from a snapshot of the front end's
-catalog copies (which, being mirror-on-ack, already contain every
-forwarded delta — replaying still-queued ``apply`` frames afterwards is
-an idempotent no-op because deltas are set-semantic row operations).
+catalog copies, which hold every acknowledged delta.
 
 **One pump per executor.**  Each worker's queue is drained by one
 pump coroutine: it owns the admission count, the deadline check at
@@ -42,7 +29,7 @@ dequeue, the in-flight and shutdown failures and the queue-depth stats.
 (``--workers 0``); only the transport differs.
 
 Everything here runs on the service's single asyncio loop; state reads
-like routing tables and sequence counters never race with mutation.
+like the assignment table and the counters never race with mutation.
 """
 
 from __future__ import annotations
@@ -88,22 +75,18 @@ class PoolRequest:
     """One unit of work queued for a worker.
 
     ``future`` is resolved with the worker's raw response dict (the
-    front end translates it onto the wire protocol); internal replica
-    ``apply`` frames carry ``future=None``.  ``db``/``seq`` are set on
-    write traffic so the pump can advance replication watermarks.
+    front end translates it onto the wire protocol); ``deadline`` is
+    the loop time past which the request fails at dequeue.
     """
 
     frame: dict
-    future: asyncio.Future | None
-    deadline: float | None = None
-    db: str | None = None
-    seq: int = 0
+    future: asyncio.Future
+    deadline: float
 
 
 def _refuse(item: PoolRequest, code: str, message: str) -> None:
-    """Fail a client request with an error reply (replica ``apply``
-    frames have no client and are skipped)."""
-    if item.future is not None and not item.future.done():
+    """Fail a request with an error reply."""
+    if not item.future.done():
         item.future.set_result({"ok": False, "code": code, "message": message})
 
 
@@ -116,8 +99,6 @@ class WorkerHandle:
     reader: asyncio.StreamReader | None = None
     writer: asyncio.StreamWriter | None = None
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-    #: Replication watermark: highest write sequence applied, per db.
-    applied_seq: dict[str, int] = field(default_factory=dict)
     inflight: PoolRequest | None = None
     dispatched: int = 0
     completed: int = 0
@@ -126,90 +107,37 @@ class WorkerHandle:
     pid: int | None = None
 
     @property
-    def outstanding(self) -> int:
-        return self.queue.qsize() + (1 if self.inflight is not None else 0)
-
-    @property
     def alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 
 
-def plan_assignments(
-    databases: list[str], workers: int, replicas: int
-) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """Map each database to ``(primary, replicas)`` worker ids.
+def plan_assignments(databases: list[str], workers: int) -> dict[str, int]:
+    """Map each database to the id of the one worker that owns it.
 
     Databases are taken in sorted order so the layout is a pure function
-    of the catalog set; replicas are the next ``replicas`` workers after
-    the primary (mod N), clamped so a worker never replicates itself.
+    of the catalog set.
 
-    >>> plan_assignments(["a", "b", "c"], 2, 1)
-    {'a': (0, (1,)), 'b': (1, (0,)), 'c': (0, (1,))}
-    >>> plan_assignments(["a"], 1, 3)
-    {'a': (0, ())}
+    >>> plan_assignments(["c", "a", "b"], 2)
+    {'a': 0, 'b': 1, 'c': 0}
     """
-    effective = max(0, min(replicas, workers - 1))
-    out: dict[str, tuple[int, tuple[int, ...]]] = {}
-    for index, name in enumerate(sorted(databases)):
-        primary = index % workers
-        out[name] = (
-            primary,
-            tuple((primary + 1 + r) % workers for r in range(effective)),
-        )
-    return out
-
-
-def choose_reader(
-    candidates: list[WorkerHandle],
-    db: str,
-    need_seq: int,
-    primary_id: int,
-    rotation: int,
-) -> tuple[WorkerHandle, bool]:
-    """Pick the least-loaded worker allowed to serve this read.
-
-    A candidate is *eligible* when it has applied every write the
-    session needs to observe (``applied_seq[db] >= need_seq``); the
-    primary is always eligible because its FIFO queue ordered those
-    writes ahead of this read.  Among eligible workers the one with the
-    fewest outstanding requests wins, with ``rotation`` breaking ties so
-    equally-idle replicas share the load.  Returns ``(handle, gated)``
-    where ``gated`` records that staleness excluded at least one
-    replica (a telemetry signal for replica lag).
-    """
-    eligible = [
-        h
-        for h in candidates
-        if h.worker_id == primary_id or h.applied_seq.get(db, 0) >= need_seq
-    ]
-    gated = len(eligible) < len(candidates)
-    order = len(candidates)
-    return (
-        min(
-            eligible,
-            key=lambda h: (h.outstanding, (h.worker_id - rotation) % order),
-        ),
-        gated,
-    )
+    return {name: index % workers for index, name in enumerate(sorted(databases))}
 
 
 class WorkerPool:
-    """N worker processes plus the router/replication state over them.
+    """N worker processes plus the assignment of databases to them.
 
     The pool does not speak the client protocol and knows nothing about
-    sessions; the front end (``QueryService``) computes each read's
-    required sequence number and calls :meth:`route_read` /
-    :meth:`call` / :meth:`forward_apply`.  ``snapshot_databases`` is
-    the front end's callback returning its current authoritative
-    catalog copies, used to bootstrap spawns and respawns.  ``stats``
-    receives the queue-depth and dispatch counts.
+    sessions; the front end (``QueryService``) sends each engine op to
+    :meth:`owner` through :meth:`call`.  ``snapshot_databases`` is the
+    front end's callback returning its current authoritative catalog
+    copies, used to bootstrap spawns and respawns.  ``stats`` receives
+    the queue-depth and dispatch counts.
     """
 
     def __init__(
         self,
         databases: list[str],
         workers: int,
-        replicas: int,
         snapshot_databases: Callable[[int], dict],
         *,
         queue_limit: int = 256,
@@ -222,8 +150,7 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
         self.workers = workers
-        self.replicas = max(0, min(replicas, workers - 1))
-        self.assignments = plan_assignments(databases, workers, self.replicas)
+        self.assignments = plan_assignments(databases, workers)
         self._snapshot_databases = snapshot_databases
         self._queue_limit = queue_limit
         self._config = {
@@ -234,12 +161,7 @@ class WorkerPool:
         self._hard_timeout = hard_timeout
         self.stats = stats or ServiceStats()
         self.handles = [WorkerHandle(i) for i in range(workers)]
-        self.write_seq: dict[str, int] = {name: 0 for name in databases}
-        self._queued = 0  # client requests across all queues (applies exempt)
-        self._rotation: dict[str, int] = {name: 0 for name in databases}
-        self.reads_primary = 0
-        self.reads_replica = 0
-        self.read_gate_fallbacks = 0
+        self._queued = 0  # requests across all queues
         self.worker_failures = 0
         self._secret = secrets.token_hex(16)
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -348,12 +270,7 @@ class WorkerPool:
             self._reap(handle)
             raise
         handle.reader, handle.writer, handle.pid = reader, writer, pid
-        # Snapshot and watermark capture happen back-to-back with no
-        # await between them, so the sequence numbers describe exactly
-        # the state being pickled (the loop cannot interleave a write).
-        hosted = self._hosted(handle.worker_id)
         databases = self._snapshot_databases(handle.worker_id)
-        handle.applied_seq = {name: self.write_seq[name] for name in hosted}
         await self._send_frame(
             handle,
             {"kind": "bootstrap", "databases": databases, "config": self._config},
@@ -375,12 +292,8 @@ class WorkerPool:
             process.wait()
 
     def _hosted(self, worker_id: int) -> list[str]:
-        """Database names this worker serves (as primary or replica)."""
-        return [
-            name
-            for name, (primary, reps) in self.assignments.items()
-            if worker_id == primary or worker_id in reps
-        ]
+        """Names of the databases this worker owns."""
+        return [name for name, owner in self.assignments.items() if owner == worker_id]
 
     # -- framing ------------------------------------------------------
 
@@ -412,32 +325,11 @@ class WorkerPool:
                 pass
         handle.reader = handle.writer = None
 
-    # -- routing and submission ---------------------------------------
+    # -- submission ---------------------------------------------------
 
-    def primary(self, db: str) -> WorkerHandle:
-        return self.handles[self.assignments[db][0]]
-
-    def next_seq(self, db: str) -> int:
-        self.write_seq[db] += 1
-        return self.write_seq[db]
-
-    def route_read(self, db: str, need_seq: int) -> WorkerHandle:
-        """Pick a worker for a read that must observe ``need_seq``."""
-        primary_id, replica_ids = self.assignments[db]
-        candidates = [self.handles[primary_id]] + [
-            self.handles[r] for r in replica_ids
-        ]
-        self._rotation[db] = (self._rotation[db] + 1) % max(1, len(candidates))
-        handle, gated = choose_reader(
-            candidates, db, need_seq, primary_id, self._rotation[db]
-        )
-        if gated:
-            self.read_gate_fallbacks += 1
-        if handle.worker_id == primary_id:
-            self.reads_primary += 1
-        else:
-            self.reads_replica += 1
-        return handle
+    def owner(self, db: str) -> WorkerHandle:
+        """The worker that runs every read and write of ``db``."""
+        return self.handles[self.assignments[db]]
 
     async def call(
         self, handle: WorkerHandle, frame: dict, deadline: float
@@ -458,25 +350,6 @@ class WorkerPool:
         self.stats.set_queue_depth(self._queued)
         handle.queue.put_nowait(item)
         return await item.future
-
-    def forward_apply(self, frame: dict) -> None:
-        """Fan a committed ``apply`` frame out to its database's replicas.
-
-        Internal traffic: exempt from the admission limit (dropping an
-        apply would wedge the replica's watermark forever) and carries
-        no future — the pump advances ``applied_seq`` on ack.
-        """
-        db = frame["db"]
-        for replica_id in self.assignments[db][1]:
-            self.handles[replica_id].queue.put_nowait(
-                PoolRequest(frame=frame, future=None, db=db, seq=frame["seq"])
-            )
-
-    def record_commit(self, db: str, seq: int, handle: WorkerHandle) -> None:
-        """Note that ``handle`` (the primary) has applied write ``seq``
-        and the front-end mirror is updated."""
-        if seq > handle.applied_seq.get(db, 0):
-            handle.applied_seq[db] = seq
 
     # -- the per-worker pump ------------------------------------------
 
@@ -506,17 +379,14 @@ class WorkerPool:
                 # the item to stop()'s drain and bail out.
                 handle.queue.put_nowait(item)
                 break
-            if item.future is not None:
-                self._queued -= 1
-                self.stats.set_queue_depth(self._queued)
-                if item.future.done():  # client gave up (connection dropped)
-                    continue
-                if self._loop.time() > item.deadline:
-                    _refuse(
-                        item, "timeout", "request exceeded its queue-wait deadline"
-                    )
-                    continue
-                self.stats.record_batch(1)
+            self._queued -= 1
+            self.stats.set_queue_depth(self._queued)
+            if item.future.done():  # client gave up (connection dropped)
+                continue
+            if self._loop.time() > item.deadline:
+                _refuse(item, "timeout", "request exceeded its queue-wait deadline")
+                continue
+            self.stats.record_batch(1)
             handle.inflight = item
             handle.dispatched += 1
             try:
@@ -534,10 +404,7 @@ class WorkerPool:
             handle.completed += 1
             if not response.get("ok", False):
                 handle.errors += 1
-            if item.db is not None and response.get("ok", False):
-                if item.seq > handle.applied_seq.get(item.db, 0):
-                    handle.applied_seq[item.db] = item.seq
-            if item.future is not None and not item.future.done():
+            if not item.future.done():
                 item.future.set_result(response)
 
     async def _health_check(self, handle: WorkerHandle) -> bool:
@@ -557,18 +424,14 @@ class WorkerPool:
 
     def _drain_queue(self, handle: WorkerHandle, code: str, message: str) -> None:
         while not handle.queue.empty():
-            item = handle.queue.get_nowait()
-            if item.future is not None:
-                self._queued -= 1
-                _refuse(item, code, message)
+            self._queued -= 1
+            _refuse(handle.queue.get_nowait(), code, message)
 
     async def _recover(self, handle: WorkerHandle) -> None:
         """Replace a dead worker, keeping its queue.
 
         The bootstrap snapshot is taken from the front end's mirror
-        copies, which already include every delta that was ever
-        forwarded; still-queued ``apply`` frames re-run as idempotent
-        no-ops after the respawn.
+        copies, which already include every acknowledged delta.
         """
         self.worker_failures += 1
         await self._close_transport(handle)
@@ -588,17 +451,6 @@ class WorkerPool:
 
     # -- introspection ------------------------------------------------
 
-    def replica_lag(self) -> dict[str, int]:
-        """Worst-case applied-sequence lag per database across replicas."""
-        out: dict[str, int] = {}
-        for name, (_, replica_ids) in self.assignments.items():
-            head = self.write_seq[name]
-            out[name] = max(
-                (head - self.handles[r].applied_seq.get(name, 0) for r in replica_ids),
-                default=0,
-            )
-        return out
-
     def snapshot(self) -> dict:
         """JSON-ready pool block for the ``stats`` op."""
         return {
@@ -612,29 +464,17 @@ class WorkerPool:
                     "completed": h.completed,
                     "errors": h.errors,
                     "respawns": h.respawns,
-                    "applied_seq": dict(h.applied_seq),
                 }
                 for h in self.handles
             },
-            "assignments": {
-                name: {"primary": primary, "replicas": list(reps)}
-                for name, (primary, reps) in sorted(self.assignments.items())
-            },
-            "write_seq": dict(self.write_seq),
-            "replica_lag": self.replica_lag(),
+            "assignments": dict(sorted(self.assignments.items())),
             "queued": self._queued,
-            "reads_primary": self.reads_primary,
-            "reads_replica": self.reads_replica,
-            "read_gate_fallbacks": self.read_gate_fallbacks,
             "worker_failures": self.worker_failures,
         }
 
     def reset_counters(self) -> None:
-        """Zero the dispatch/routing counters (gauges and replication
-        watermarks are state, not traffic, and are kept)."""
-        self.reads_primary = 0
-        self.reads_replica = 0
-        self.read_gate_fallbacks = 0
+        """Zero the dispatch counters (gauges are state, not traffic, and
+        are kept)."""
         self.worker_failures = 0
         for handle in self.handles:
             handle.dispatched = 0
@@ -655,7 +495,7 @@ class LocalPool(WorkerPool):
 
     def __init__(self, state: WorkerState, **options) -> None:
         super().__init__(
-            list(state.hosts), 1, 0, None, health_interval=None, **options
+            list(state.hosts), 1, None, health_interval=None, **options
         )
         self._state = state
         self._thread: ThreadPoolExecutor | None = None
@@ -686,6 +526,5 @@ __all__ = [
     "PoolRequest",
     "WorkerHandle",
     "WorkerPool",
-    "choose_reader",
     "plan_assignments",
 ]

@@ -12,8 +12,8 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level spec):
   method for a client; they are bookkeeping only and cost nothing to
   hold open.
 - Engine ops (``prepare`` / ``execute`` / ``query`` / ``update``) take
-  one path, :meth:`QueryService._engine_op`: protocol, session, registry
-  lookup and routing on the event loop, then one frame to an executor —
+  one path, :meth:`QueryService._engine_op`: protocol, session and
+  registry lookup on the event loop, then one frame to an executor —
   :meth:`repro.service.worker.WorkerState.handle`, the only code that
   plans, binds, executes or applies a delta — and the reply built from
   its ack.  Each executor has one bounded queue drained by one pump
@@ -25,9 +25,9 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level spec):
   process, over the front end's own hosts; that thread serializes all
   engine and catalog access, so the service needs no locks.
   ``workers = N`` runs it in N worker processes behind framed-pickle
-  sockets: writes commit on each database's primary worker and are
-  mirrored into this process's authoritative catalog copy before being
-  fanned out to read replicas.
+  sockets: each database lives on one worker, which runs all its reads
+  and writes; an acknowledged write is mirrored into this process's
+  authoritative catalog copy, which a respawned worker starts from.
 - Cheap ops (``ping``, ``stats``, ``open_session``, ``close_session``)
   run inline on the event loop and never queue behind engine work.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.planner import METHODS
 from repro.datalog import parse_rule
@@ -62,7 +62,7 @@ from repro.service.worker import WorkerState
 _SCALAR_TYPES = (str, int, float)
 
 #: Executor refusals after which an update is durable nowhere: it never
-#: ran, or ran on a primary that crashed and was respawned from the
+#: ran, or ran on a worker that crashed and was respawned from the
 #: front-end copy (which does not contain it).
 _NOT_APPLIED = frozenset({"overloaded", "timeout", "worker_failed", "shutdown"})
 
@@ -84,9 +84,12 @@ class ServiceConfig:
     #: Number of pool worker processes.  0 (the default) runs the
     #: executor on one thread of the server process.
     workers: int = 0
-    #: Read replicas per database when the pool is on (clamped to
-    #: ``workers - 1``; ignored for ``workers = 0``).
-    replicas: int = 1
+
+    def __post_init__(self) -> None:
+        for name, least in (("workers", 0), ("queue_limit", 1), ("max_sessions", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -98,9 +101,6 @@ class Session:
     engine: str
     method: str
     requests: int = 0
-    #: Pool mode only: highest write sequence this session produced per
-    #: relation, used to gate replica reads for read-your-writes.
-    writes: dict[str, int] = field(default_factory=dict)
 
 
 class QueryService:
@@ -143,7 +143,6 @@ class QueryService:
             self._pool = WorkerPool(
                 sorted(self.hosts),
                 self.config.workers,
-                self.config.replicas,
                 self._snapshot_databases_for,
                 **caches,
                 **options,
@@ -154,7 +153,7 @@ class QueryService:
     def _snapshot_databases_for(self, worker_id: int) -> dict[str, Database]:
         """Bootstrap payload for one (re)spawning pool worker: this
         process's authoritative catalog copies for the databases that
-        worker hosts."""
+        worker owns."""
         hosted = self._pool._hosted(worker_id)
         return {name: self.hosts[name].database for name in hosted}
 
@@ -377,11 +376,10 @@ class QueryService:
     async def _engine_op(self, request_id, op: str, message: dict):
         """Validate on the loop, send one frame, answer from the ack.
 
-        A registry hit on ``prepare`` needs no executor; a miss sends a
-        ``prepare`` frame to the database's primary, so planning errors
-        surface at ``prepare``, and a shape its executor refused leaves
-        the registry again.  Writes go to the primary; reads go where
-        :meth:`WorkerPool.route_read` sends them.
+        Every frame goes to the database's owner.  A registry hit on
+        ``prepare`` needs no executor; a miss sends a ``prepare`` frame,
+        so planning errors surface at ``prepare``, and a shape its
+        executor refused leaves the registry again.
         """
         assert self._loop is not None
         if self._stopping:
@@ -392,7 +390,6 @@ class QueryService:
         if timeout is None:
             timeout = self.config.request_timeout
         deadline = self._loop.time() + max(timeout, 0.0)
-        handle = self._pool.primary(db)
         if op == "update":
             frame = {
                 "kind": "update",
@@ -419,15 +416,6 @@ class QueryService:
                 statement, params, hit, _ = host.register(parse_rule(rule), method)
                 if op == "prepare" and hit:
                     return self._prepared(request_id, statement, params, hit)
-            if op != "prepare":
-                need = max(
-                    (
-                        session.writes.get(atom.relation, 0)
-                        for atom in statement.shape.template.atoms
-                    ),
-                    default=0,
-                )
-                handle = self._pool.route_read(db, need)
             frame = {
                 "kind": "prepare" if op == "prepare" else "exec",
                 "db": db,
@@ -437,9 +425,9 @@ class QueryService:
                 "shape": shape_to_wire(statement.shape),
                 "params": list(params),
             }
-        ack = await self._pool.call(handle, frame, deadline)
+        ack = await self._pool.call(self._pool.owner(db), frame, deadline)
         if op == "update":
-            return self._commit(request_id, session, frame, handle, ack)
+            return self._commit(request_id, frame, ack)
         if not ack["ok"]:
             if not hit:
                 host.prepared.discard(statement)
@@ -460,28 +448,17 @@ class QueryService:
             ),
         )
 
-    def _commit(self, request_id, session, frame, primary, ack):
-        """Answer an update from its primary's ack.
+    def _commit(self, request_id, frame, ack):
+        """Answer an update from its owner's ack.
 
-        With a pool, a delta the primary executed (fully, or partially
-        before an error) is then replayed on the front-end copy and
-        fanned out, so every copy converges on the identical state.  Its
-        write sequence number is allocated only *after* the ack, in ack
-        order — dense over writes that actually committed — and the
-        ack-then-mirror-then-forward order is what makes respawn
-        snapshots safe: the front-end copy always contains every delta
-        any replica was ever asked to apply.
+        With a pool, a delta the owner executed (fully, or partially
+        before an error) is then replayed on the front-end copy, so the
+        copy a respawned worker starts from holds the owner's state.
         """
         if ack.get("code") in _NOT_APPLIED:
             raise _RequestError(ack["code"], ack["message"])
         if self.config.workers > 0:
-            db = frame["db"]
-            seq = self._pool.next_seq(db)
-            applied = dict(frame, kind="apply", seq=seq)
-            self._state.handle(applied)
-            self._pool.record_commit(db, seq, primary)
-            self._pool.forward_apply(applied)
-            session.writes[frame["relation"]] = seq
+            self._state.handle(dict(frame, kind="apply"))
         if not ack["ok"]:
             raise _RequestError(ack["code"], ack["message"])
         return "update", ok_response(
@@ -557,7 +534,6 @@ class QueryService:
                 "default_engine": self.config.default_engine,
                 "default_method": self.config.default_method,
                 "workers": self.config.workers,
-                "replicas": self.config.replicas,
             },
             "databases": {
                 name: host.info() for name, host in sorted(self.hosts.items())

@@ -5,14 +5,14 @@
 executes or applies a delta for a served request.  The service drives
 it on one thread of its own process (``--workers 0``, over the front
 end's own hosts) or in worker processes, each hosting the three engines
-for the databases it was assigned (as primary or replica).  The parent
-never pickles plans, engines, or compiled units across the boundary —
-only the *canonical query shape* plus parameter bindings cross the wire
-(see ``repro.service.prepared.shape_to_wire``), and each worker compiles
-a shape once on first sight and reuses the plan, the compiled units, and
+for the databases it owns.  The parent never pickles plans, engines, or
+compiled units across the boundary — only the *canonical query shape*
+plus parameter bindings cross the wire (see
+``repro.service.prepared.shape_to_wire``), and each worker compiles a
+shape once on first sight and reuses the plan, the compiled units, and
 the dependency-tracked caches for the life of the process.  That is the
-cross-process plan-reuse contract: N workers hold N warm copies of the
-hot statement set instead of recomputing per request.
+cross-process plan-reuse contract: a database's hot statements stay warm
+on its worker instead of being recomputed per request.
 
 The IPC layer is deliberately tiny: length-prefixed pickle frames over
 a loopback TCP socket the worker opens back to the parent.  Pickle is
@@ -32,11 +32,10 @@ Frames the worker understands (``kind`` field):
   statement for the parent's statement id, bind params, run on the
   requested engine, return sorted rows.
 - ``update`` / ``apply`` — apply a row-level delta to the local
-  catalog copy.  ``update`` (primary) surfaces errors to the parent;
-  ``apply`` (replica, and the parent's mirror) acknowledges
-  unconditionally — both run the same deterministic
-  :func:`apply_catalog_delta`, which is how primary, replicas, and the
-  parent's own mirror copy stay byte-identical even for
+  catalog copy.  ``update`` (the owning worker) surfaces errors to the
+  parent; ``apply`` (the parent's mirror) acknowledges unconditionally —
+  both run the same deterministic :func:`apply_catalog_delta`, which is
+  how the owner and the parent's mirror copy stay identical even for
   partially-failing deltas.
 - ``ping`` — health check.
 - ``stop`` — clean shutdown.
@@ -178,13 +177,12 @@ class WorkerState:
         )
         if error is not None and frame["kind"] == "update":
             code, text = _map_exception(error)
-            return {"ok": False, "code": code, "message": text, "seq": frame.get("seq")}
+            return {"ok": False, "code": code, "message": text}
         return {
             "ok": True,
             "inserted": inserted,
             "deleted": deleted,
             "version": database.version(relation),
-            "seq": frame.get("seq"),
         }
 
 

@@ -1,12 +1,12 @@
 """Tests for the multi-process worker pool backend.
 
-Pure-logic tests cover the router (sharding layout, read-your-writes
-gating) and the shape wire format; live tests run a real
-:class:`QueryService` with ``workers > 0`` — actual child processes over
-loopback IPC — and exercise read-your-writes under replication, crash
-detection with respawn-from-snapshot, the ``pool`` stats block and the
-process tree.  Queries, prepared statements, updates and admission
-control run on both backends in ``test_server.py``.
+Pure-logic tests cover the sharding layout and the shape wire format;
+live tests run a real :class:`QueryService` with ``workers > 0`` —
+actual child processes over loopback IPC — and exercise read-your-writes
+across workers and sessions, crash detection with respawn-from-snapshot,
+the ``pool`` stats block and the process tree.  Queries, prepared
+statements, updates and admission control run on both backends in
+``test_server.py``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from repro.relalg.relation import Relation
 from repro.service import QueryService, ServiceClient, ServiceConfig, ServiceError
 from repro.service import pool as pool_module
 from repro.service.client import ServiceRetryableError
-from repro.service.pool import (
-    WORKER_ENTRY,
-    WorkerHandle,
-    WorkerPool,
-    choose_reader,
-    plan_assignments,
-)
+from repro.service.pool import WORKER_ENTRY, WorkerPool, plan_assignments
 from repro.service.prepared import (
     PreparedStatement,
     canonicalize_query,
@@ -114,66 +108,12 @@ def live():
 
 
 class TestAssignments:
-    def test_round_robin_primaries_with_replicas(self):
-        layout = plan_assignments(["a", "b", "c"], workers=3, replicas=1)
-        assert layout == {"a": (0, (1,)), "b": (1, (2,)), "c": (2, (0,))}
-
-    def test_replicas_clamped_to_worker_count(self):
-        layout = plan_assignments(["a"], workers=2, replicas=5)
-        assert layout["a"] == (0, (1,))  # not 5 replicas, and never itself
-
-    def test_single_worker_has_no_replicas(self):
-        assert plan_assignments(["a", "b"], workers=1, replicas=2) == {
-            "a": (0, ()),
-            "b": (0, ()),
-        }
-
     def test_layout_is_deterministic_in_name_order(self):
-        one = plan_assignments(["z", "a", "m"], workers=2, replicas=1)
-        two = plan_assignments(["m", "z", "a"], workers=2, replicas=1)
-        assert one == two
-
-
-class TestReadRouting:
-    @staticmethod
-    def handles(*applied):
-        out = []
-        for worker_id, seq in enumerate(applied):
-            handle = WorkerHandle(worker_id)
-            handle.applied_seq = {"db": seq}
-            out.append(handle)
-        return out
-
-    def test_stale_replica_excluded_until_caught_up(self):
-        primary, replica = self.handles(5, 3)
-        chosen, gated = choose_reader(
-            [primary, replica], "db", need_seq=5, primary_id=0, rotation=1
-        )
-        assert chosen is primary and gated is True
-        # Once the replica has applied the session's writes it is back
-        # in the candidate set.
-        replica.applied_seq["db"] = 5
-        chosen, gated = choose_reader(
-            [primary, replica], "db", need_seq=5, primary_id=0, rotation=1
-        )
-        assert chosen is replica and gated is False
-
-    def test_primary_always_eligible_even_behind_watermark(self):
-        # The primary's queue ordered the write before this read, so it
-        # serves reads regardless of its recorded watermark.
-        (primary,) = self.handles(0)
-        chosen, gated = choose_reader(
-            [primary], "db", need_seq=9, primary_id=0, rotation=0
-        )
-        assert chosen is primary and gated is False
-
-    def test_least_outstanding_wins(self):
-        primary, replica = self.handles(1, 1)
-        primary.inflight = object()  # one request outstanding
-        chosen, _ = choose_reader(
-            [primary, replica], "db", need_seq=0, primary_id=0, rotation=0
-        )
-        assert chosen is replica
+        """Each database has one owner, dealt round robin in name order."""
+        layout = plan_assignments(["c", "a", "b"], workers=2)
+        assert layout == {"a": 0, "b": 1, "c": 0}
+        assert plan_assignments(["b", "c", "a"], workers=2) == layout
+        assert plan_assignments(["a", "b"], workers=1) == {"a": 0, "b": 0}
 
 
 class TestShapeWire:
@@ -212,8 +152,8 @@ class TestReadYourWrites:
     def test_session_reads_observe_own_writes_immediately(self, live):
         """The documented read-your-writes guarantee: within a session,
         a read issued right after an acknowledged write always observes
-        it, even with replicas that may not have applied it yet."""
-        server = live(workers=2, replicas=1)
+        it."""
+        server = live(workers=2)
         with server.client() as client:
             session = client.open_session()
             for i in range(15):
@@ -223,32 +163,21 @@ class TestReadYourWrites:
                 assert updated["inserted"] == 1
                 anchored = client.query(session, f"q(X) :- graph({100 + i}, X).")
                 assert [900 + i] in anchored["rows"], f"write {i} not visible"
-            snap = client.stats_snapshot()
-            pool = snap["pool"]
-            assert pool["write_seq"]["default"] == 15
-            assert snap["service"]["errors"] == {}
+            assert client.stats_snapshot()["service"]["errors"] == {}
 
-    def test_other_sessions_converge_after_replication(self, live):
-        server = live(workers=2, replicas=1)
-        with server.client() as client:
-            writer = client.open_session()
-            client.update(writer, "graph", insert=[[300, 301]])
-            # Wait for the replica watermark to catch up, then any
-            # session on any worker must see the row.
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if max(client.stats_snapshot()["pool"]["replica_lag"].values()) == 0:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("replica never caught up")
-            reader = client.open_session()
-            for _ in range(8):  # hits both primary and replica over rotation
-                rows = client.query(reader, "q(X) :- graph(300, X).")["rows"]
-                assert rows == [[301]]
+    def test_another_session_sees_an_acknowledged_write_at_once(self, live):
+        """The database's one worker ran the write, so the first read of
+        any other session, on another connection, observes it."""
+        server = live(workers=2)
+        with server.client() as writer_client, server.client() as reader_client:
+            writer = writer_client.open_session()
+            reader = reader_client.open_session()
+            writer_client.update(writer, "graph", insert=[[300, 301]])
+            rows = reader_client.query(reader, "q(X) :- graph(300, X).")["rows"]
+            assert rows == [[301]]
 
     def test_version_field_matches_legacy_semantics(self, live):
-        server = live(workers=2, replicas=1)
+        server = live(workers=2)
         with server.client() as client:
             session = client.open_session()
             first = client.update(session, "graph", insert=[[50, 60]])
@@ -267,11 +196,10 @@ def shard_database(shard: int) -> Database:
 
 class TestSharding:
     def test_sharded_answers_match_direct_evaluate_on_every_engine(self, live):
-        """Four databases over two workers with a replica each: every
-        engine on every shard answers what ``evaluate()`` does, whichever
-        worker serves the read."""
+        """Four databases over two workers: every engine on every shard
+        answers what ``evaluate()`` does, and both workers own shards."""
         shards = {f"s{i}": shard_database(i) for i in range(4)}
-        server = live(shards, workers=2, replicas=1)
+        server = live(shards, workers=2)
         rules = [
             "q(X) :- graph(2, X), graph(X, Y).",
             "q(X, Y) :- graph(X, Y), graph(Y, Z), graph(Z, X).",
@@ -282,12 +210,11 @@ class TestSharding:
                 for rule in rules:
                     plan = plan_query(parse_rule(rule), "bucket", rng=random.Random(0))
                     expected, _ = evaluate(plan, shard_database(shard), engine=engine)
-                    for _ in range(2):  # rotation: primary, then replica
+                    for _ in range(2):  # cold, then warm
                         served = client.query(session, rule)["rows"]
                         assert {tuple(r) for r in served} == expected.rows, rule
-            pool = client.stats_snapshot()["pool"]
-            assert {entry["primary"] for entry in pool["assignments"].values()} == {0, 1}
-            assert pool["reads_replica"] > 0
+            assignments = client.stats_snapshot()["pool"]["assignments"]
+            assert set(assignments.values()) == {0, 1}
 
 
 class TestCrashRecovery:
@@ -330,7 +257,7 @@ class TestCrashRecovery:
 
 class TestPoolStats:
     def test_pool_block_shape_and_reset(self, live):
-        server = live(workers=2, replicas=1)
+        server = live(workers=2)
         with server.client() as client:
             session = client.open_session()
             for _ in range(6):
@@ -338,10 +265,10 @@ class TestPoolStats:
             snap = client.stats_snapshot()
             pool = snap["pool"]
             assert snap["config"]["workers"] == 2
-            assert snap["config"]["replicas"] == 1
+            assert set(pool) == {"workers", "assignments", "queued", "worker_failures"}
             assert set(pool["workers"]) == {"0", "1"}
             worker = pool["workers"]["0"]
-            for key in (
+            assert set(worker) == {
                 "pid",
                 "alive",
                 "queue_depth",
@@ -350,13 +277,9 @@ class TestPoolStats:
                 "completed",
                 "errors",
                 "respawns",
-                "applied_seq",
-            ):
-                assert key in worker
-            assert pool["reads_primary"] + pool["reads_replica"] == 6
-            assert pool["reads_replica"] > 0  # rotation used the replica
-            assert pool["assignments"]["default"]["primary"] == 0
-            assert pool["assignments"]["default"]["replicas"] == [1]
+            }
+            assert worker["dispatched"] == 6  # the owner ran every read
+            assert pool["assignments"] == {"default": 0}
 
             # The resetting snapshot returns the pre-reset window; the
             # next snapshot starts clean (per-worker counters included).
@@ -364,7 +287,6 @@ class TestPoolStats:
             assert pre["service"]["requests"] >= 7
             post = client.stats_snapshot()
             assert post["service"]["requests"] == 1  # just this stats call
-            assert post["pool"]["reads_primary"] + post["pool"]["reads_replica"] == 0
             assert post["pool"]["workers"]["0"]["dispatched"] == 0
 
 
@@ -519,14 +441,11 @@ class TestProcessTree:
     def test_children_are_the_workers_and_none_outlives_the_server(self):
         """A ``--workers 2`` server is three processes and nothing else —
         no launcher, no tracker; a crashed worker is reaped, not left a
-        zombie; after the server stops none of them is left.  Without
-        replicas the read after the kill goes to the dead primary, so the
-        pump finds the crash at once instead of at the next health ping."""
+        zombie; after the server stops none of them is left.  The read
+        after the kill goes to the dead owner, so the pump finds the crash
+        at once instead of at the next health ping."""
         server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--workers", "2", "--replicas", "0",
-            ],
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
             env=dict(os.environ, PYTHONPATH=SRC),
             stdout=subprocess.PIPE,
             text=True,
@@ -618,7 +537,7 @@ class TestProcessTree:
 
     def test_in_process_server_has_exactly_its_workers(self, live):
         before = set(children_of(os.getpid()))
-        server = live(workers=2, replicas=1)
+        server = live(workers=2)
         workers = set(children_of(os.getpid())) - before
         with server.client() as client:
             stats = client.stats_snapshot()["pool"]["workers"]
@@ -657,7 +576,7 @@ def test_a_worker_that_never_connects_is_terminated_and_waited_for(monkeypatch):
             TimeoutExpired=subprocess.TimeoutExpired,
         ),
     )
-    pool = WorkerPool(["default"], 1, 0, lambda worker_id: {})
+    pool = WorkerPool(["default"], 1, lambda worker_id: {})
 
     async def run() -> None:
         try:

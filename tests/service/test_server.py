@@ -33,7 +33,7 @@ from repro.service.protocol import decode_line, encode_message
 
 #: ``ServiceConfig`` fields of the two backends every test runs against.
 THREAD = {"workers": 0}
-POOL = {"workers": 1, "replicas": 0}
+POOL = {"workers": 1}
 
 
 def service_database() -> Database:
@@ -345,9 +345,6 @@ class TestAdmissionControl:
                 assert read_future.result(60)["rows"]
             after = read_client.query(read, "q(X) :- graph(500, X).")
             assert after["rows"] == []
-            snap = read_client.stats_snapshot()
-            if "pool" in snap:  # nothing was committed, so nothing replicated
-                assert snap["pool"]["write_seq"]["default"] == 0
 
     def test_stats_reset_clears_counters_and_latency(self, live):
         with live().client() as client:

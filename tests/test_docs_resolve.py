@@ -1,4 +1,4 @@
-"""Every file path the documentation cites exists in the checkout.
+"""Every file path and CLI flag the documentation cites exists.
 
 Words in backticks (inline spans and fenced blocks) of README.md,
 DESIGN.md, EXPERIMENTS.md, ``docs/*.md`` and the verify skill that look
@@ -11,6 +11,11 @@ with ``dir/`` puts its words and those of deeper-indented lines under
 ``./`` paths, bare extensions, placeholders (``<ref>``, ``$VAR``), what
 follows a ``:`` (``file.py:name``, ``git show rev:path``) and what
 ``.gitignore`` lists.  A filesystem walk, not ``git``.
+
+Every ``--flag`` of a ``python -m repro <subcommand>`` command in those
+backticks must also be a visible option of that subcommand in
+``build_argument_parser()``; a flag hidden from ``--help`` counts as
+undocumented.
 """
 
 from __future__ import annotations
@@ -129,3 +134,83 @@ def test_the_scan_sees_citations_and_rejects_what_is_gone(tree):
     assert not resolves("benchmarks/bench_deleted_driver.py", paths)
     assert not resolves("__init__.py", paths)  # names many files
     assert path_token("9fd2e7d:deleted.json", top_level) is None
+
+
+# ----------------------------------------------------------------------
+# Documented CLI flags exist
+# ----------------------------------------------------------------------
+#: ``python -m repro <subcommand>`` (``run|program`` names two), then the
+#: rest of the command up to a shell operator or comment.
+COMMAND = re.compile(
+    r"\bpython3? -m repro\s+([a-z]+(?:\|[a-z]+)*)(.*?)(?=\s[|;&>#]|$)", re.S
+)
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def documented_commands(text: str):
+    """``(subcommand, flags)`` for every ``python -m repro`` command in a
+    fenced block line (``\\``-continued lines joined) or backticked span."""
+    bodies = [
+        line
+        for block in FENCE.findall(text)
+        for line in block.replace("\\\n", " ").splitlines()
+    ]
+    bodies += [body for _, body in SPAN.findall(FENCE.sub("", text))]
+    for body in bodies:
+        for match in COMMAND.finditer(body):
+            flags = FLAG.findall(match.group(2))
+            for subcommand in match.group(1).split("|"):
+                yield subcommand, flags
+
+
+def visible_flags() -> dict[str, set[str]]:
+    """``{subcommand: flags}``; a flag whose help is suppressed is hidden."""
+    import argparse
+
+    from repro.__main__ import build_argument_parser
+
+    (commands,) = (
+        action
+        for action in build_argument_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            flag
+            for action in parser._actions
+            if action.help is not argparse.SUPPRESS
+            for flag in action.option_strings
+        }
+        for name, parser in commands.choices.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "doc", [doc for doc in DOCS if doc.is_file()], ids=lambda doc: doc.name
+)
+def test_documented_cli_flags_exist(doc):
+    flags = visible_flags()
+    unknown = sorted(
+        f"{subcommand} {flag}"
+        for subcommand, used in documented_commands(doc.read_text(encoding="utf-8"))
+        for flag in used
+        if flag not in flags.get(subcommand, ())
+    )
+    assert not unknown, f"{doc.name} documents CLI flags that do not exist: {unknown}"
+
+
+def test_the_flag_scan_sees_commands_and_rejects_hidden_flags():
+    text = (
+        "```bash\npython -m repro serve --port 0 \\\n    --workers 2  # a note --x\n```\n"
+        "Or `python -m repro run|program ... --engine compiled` and\n"
+        "`python -m repro plan \"q(X) :- e(X).\" --dot | dot -Tpng --y`.\n"
+    )
+    assert list(documented_commands(text)) == [
+        ("serve", ["--port", "--workers"]),
+        ("run", ["--engine"]),
+        ("program", ["--engine"]),
+        ("plan", ["--dot"]),
+    ]
+    flags = visible_flags()
+    assert {"--help", "--workers"} <= flags["serve"]
+    assert "--dot" in flags["plan"] and "--dot" not in flags["serve"]

@@ -183,7 +183,6 @@ class TestServeCommand:
         assert args.default_engine == "interpreted"
         assert args.default_method == "bucket"
         assert args.workers == 0  # pool off by default: one executor thread
-        assert args.replicas == 1
 
     def test_serve_flags_parse(self):
         args = build_argument_parser().parse_args(
@@ -204,20 +203,15 @@ class TestServeCommand:
         assert args.default_method == "early"
 
     def test_serve_pool_knobs_parse(self):
-        args = build_argument_parser().parse_args(
-            ["serve", "--workers", "4", "--replicas", "2"]
-        )
+        args = build_argument_parser().parse_args(["serve", "--workers", "4"])
         assert args.workers == 4
-        assert args.replicas == 2
 
     def test_serve_pool_knobs_reach_config(self):
         from repro.service import QueryService, ServiceConfig
         from repro.relalg.database import edge_database
 
-        args = build_argument_parser().parse_args(
-            ["serve", "--workers", "3", "--replicas", "1"]
-        )
-        config = ServiceConfig(workers=args.workers, replicas=args.replicas)
+        args = build_argument_parser().parse_args(["serve", "--workers", "3"])
+        config = ServiceConfig(workers=args.workers)
         service = QueryService({"default": edge_database()}, config)
         assert service.config.workers == 3
         assert service._pool is not None
@@ -232,3 +226,29 @@ class TestServeCommand:
     def test_serve_bad_db_spec_exits_2(self, capsys):
         assert main(["serve", "--db", "no-separator"]) == 2
         assert "NAME=DIR" in capsys.readouterr().err
+
+    def test_the_hidden_replicas_flag_accepts_only_zero(self, capsys):
+        from repro.service import ServiceConfig
+
+        parser = build_argument_parser()
+        assert parser.parse_args(["serve", "--replicas", "0"]).command == "serve"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--replicas", "1"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--help"])
+        assert "--replicas" not in capsys.readouterr().out
+        with pytest.raises(TypeError):
+            ServiceConfig(replicas=1)
+
+    @pytest.mark.parametrize(
+        "field, value", [("workers", -1), ("queue_limit", 0), ("max_sessions", 0)]
+    )
+    def test_serve_rejects_out_of_range_settings(self, field, value, capsys):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+        flag = "--" + field.replace("_", "-")
+        assert main(["serve", flag, str(value)]) == 2
+        assert field in capsys.readouterr().err
