@@ -30,6 +30,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "sat_scaling": "figures",
         "relation_size_scaling": "figures",
         "mediator_chain_scaling": "figures",
+        "yannakakis_broken_chain": "figures",
+        "ablation_orders": "figures",
+        "ablation_joins": "figures",
+        "ablation_distinct": "figures",
+        "ablation_minibuckets": "figures",
+        "ablation_rewrite": "figures",
         "format_table": "report",
         "format_report": "report",
         "series_to_json": "report",

@@ -5,20 +5,36 @@ Examples::
     python -m repro.experiments fig3
     python -m repro.experiments fig3 --free-fraction 0.2 --seeds 5
     python -m repro.experiments fig4 --orders 8 10 12 14 16
+    python -m repro.experiments orders --summary
     python -m repro.experiments all --seeds 2
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
+from repro.errors import ReproError
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import (
     dominance_summary,
     format_report,
     series_to_json,
 )
+
+
+def _positive(kind: type):
+    """An argparse type: ``kind`` of the text, rejected unless > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -32,10 +48,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
         choices=sorted(FIGURES) + ["all"],
         help="which figure to regenerate (or 'all')",
     )
-    parser.add_argument("--seeds", type=int, default=None, help="instances per point")
+    parser.add_argument(
+        "--seeds", type=_positive(int), default=None, help="instances per point"
+    )
     parser.add_argument(
         "--budget-seconds",
-        type=float,
+        type=_positive(float),
         default=None,
         help="per-method soft timeout before it is retired from the series",
     )
@@ -62,6 +80,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--via-sql",
         action="store_true",
+        default=None,
         help="run through the full SQL generate/parse/execute pipeline",
     )
     parser.add_argument(
@@ -72,14 +91,14 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive(int),
         default=None,
         help="fan grid cells across N worker processes (default: 1, serial); "
         "results are identical to a serial run apart from wall-clock",
     )
     parser.add_argument(
         "--cell-timeout-seconds",
-        type=float,
+        type=_positive(float),
         default=None,
         help="hard per-cell timeout when --jobs > 1 (a cell exceeding it is "
         "recorded as timed out and its method retired)",
@@ -98,31 +117,14 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
 
 def _kwargs_for(name: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    if args.seeds is not None:
-        kwargs["seeds"] = args.seeds
-    if args.budget_seconds is not None and name != "fig2":
-        kwargs["budget_seconds"] = args.budget_seconds
-    if args.free_fraction is not None and name in (
-        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "sat",
-    ):
-        kwargs["free_fraction"] = args.free_fraction
-    if args.orders is not None and name in (
-        "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    ):
-        kwargs["orders"] = args.orders
-    if args.densities is not None and name in ("fig2", "fig3"):
-        kwargs["densities"] = args.densities
-    if args.via_sql and name != "fig2":
-        kwargs["via_sql"] = True
-    if name != "fig2":
-        if args.engine is not None:
-            kwargs["engine"] = args.engine
-        if args.jobs is not None:
-            kwargs["jobs"] = args.jobs
-        if args.cell_timeout_seconds is not None:
-            kwargs["cell_timeout_seconds"] = args.cell_timeout_seconds
-    return kwargs
+    """The flags that were given and that ``FIGURES[name]`` takes, as
+    keyword arguments (an option's ``dest`` is the parameter's name)."""
+    accepted = inspect.signature(FIGURES[name]).parameters
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key in accepted and value is not None
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,7 +133,11 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     reports = []
     for name in names:
-        series = FIGURES[name](**_kwargs_for(name, args))
+        try:
+            series = FIGURES[name](**_kwargs_for(name, args))
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.json:
             reports.append(series_to_json(series))
             continue

@@ -11,7 +11,9 @@ The execution-time figures (3–9) run the four methods the paper plots —
 straightforward, early projection, reordering, bucket elimination — and
 report median wall-clock seconds plus the machine-independent
 ``total_intermediate_tuples``.  Figure 2 is a compile-time experiment and
-reports planner work instead.
+reports planner work instead.  The Section 7 studies and the ablations
+(ordering heuristic, join algorithm, eager vs deferred DISTINCT,
+mini-bucket i-bound, rule-based rewriting) are series of the same shape.
 """
 
 from __future__ import annotations
@@ -21,16 +23,21 @@ import statistics
 from collections.abc import Callable, Sequence
 from concurrent.futures import TimeoutError as FuturesTimeout
 
+from repro.core.planner import plan_query
 from repro.core.query import ConjunctiveQuery
 from repro.experiments.runner import (
     BudgetTracker,
     CellResult,
+    MethodRun,
     Series,
     aggregate_runs,
+    measure_plan,
     run_cell,
     run_method,
 )
+from repro.relalg.compiled import make_engine
 from repro.relalg.database import Database
+from repro.relalg.engine import Engine
 from repro.sql.planner_sim import plan_naive, plan_straightforward
 from repro.workloads.coloring import coloring_instance
 from repro.workloads.graphs import (
@@ -52,6 +59,8 @@ EXECUTION_METHODS: tuple[str, ...] = (
 )
 
 InstanceBuilder = Callable[[float, int], tuple[ConjunctiveQuery, Database]]
+#: ``run(method, query, database, rng)``: one measured run of one column.
+CellRunner = Callable[[str, ConjunctiveQuery, Database, random.Random], MethodRun]
 
 
 def _scaling_series(
@@ -67,8 +76,10 @@ def _scaling_series(
     jobs: int = 1,
     engine: str = "interpreted",
     cell_timeout_seconds: float | None = None,
+    run: CellRunner | None = None,
 ) -> Series:
-    """Generic scaling loop shared by Figures 3–9 and the SAT study.
+    """Generic scaling loop shared by Figures 3–9, the §7 studies and the
+    ablations.
 
     For every x-value, each still-active method runs on ``seeds``
     independently generated instances and its medians are recorded.  A
@@ -90,14 +101,33 @@ def _scaling_series(
     a cell that blows it is recorded as timed out and its method retired,
     though the worker process itself runs on in the background (the pool
     cannot kill it) and is simply abandoned.
+
+    ``run`` replaces :func:`~repro.experiments.runner.run_method` for the
+    ablations, whose columns are variants of one design choice rather
+    than planning methods; it runs serially.
     """
     from repro.errors import TimeoutExceeded
 
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     series = Series(
         name=name, x_label=x_label, x_values=list(x_values), methods=list(methods)
     )
     tracker = BudgetTracker(budget_seconds)
     effective_cap = None if via_sql else cap_tuples
+    if run is None:
+
+        def run(method, query, database, rng):
+            return run_method(
+                query,
+                database,
+                method,
+                rng=rng,
+                via_sql=via_sql,
+                cap_tuples=effective_cap,
+                engine=engine,
+            )
+
     executor = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -142,17 +172,7 @@ def _scaling_series(
                         runs.append(run)
                         continue
                     try:
-                        runs.append(
-                            run_method(
-                                query,
-                                database,
-                                method,
-                                rng=random.Random(seed),
-                                via_sql=via_sql,
-                                cap_tuples=effective_cap,
-                                engine=engine,
-                            )
-                        )
+                        runs.append(run(method, query, database, random.Random(seed)))
                     except TimeoutExceeded:
                         refused = True
                         break
@@ -274,12 +294,11 @@ def _order_scaling(
     free_fraction: float,
     seeds: int,
     budget_seconds: float,
-    via_sql: bool,
-    cap_tuples: int = 5_000_000,
-    jobs: int = 1,
-    engine: str = "interpreted",
-    cell_timeout_seconds: float | None = None,
+    **options,
 ) -> Series:
+    """Random 3-COLOR graphs of a fixed density, scaling the order;
+    ``options`` go to :func:`_scaling_series`."""
+
     def build(order: float, seed: int) -> tuple[ConjunctiveQuery, Database]:
         order = int(order)
         rng = random.Random((seed, order, density).__hash__() & 0x7FFFFFFF)
@@ -296,11 +315,7 @@ def _order_scaling(
         build_instance=build,
         seeds=seeds,
         budget_seconds=budget_seconds,
-        via_sql=via_sql,
-        cap_tuples=cap_tuples,
-        jobs=jobs,
-        engine=engine,
-        cell_timeout_seconds=cell_timeout_seconds,
+        **options,
     )
 
 
@@ -321,7 +336,7 @@ def fig4_order_low_density(
     suffix = "boolean" if free_fraction == 0.0 else "nonboolean"
     return _order_scaling(
         f"fig4_order_d30_{suffix}", 3.0, orders, free_fraction, seeds,
-        budget_seconds, via_sql, jobs=jobs, engine=engine,
+        budget_seconds, via_sql=via_sql, jobs=jobs, engine=engine,
         cell_timeout_seconds=cell_timeout_seconds,
     )
 
@@ -346,8 +361,8 @@ def fig5_order_high_density(
     suffix = "boolean" if free_fraction == 0.0 else "nonboolean"
     return _order_scaling(
         f"fig5_order_d60_{suffix}", 6.0, orders, free_fraction, seeds,
-        budget_seconds, via_sql, cap_tuples=10**12, jobs=jobs, engine=engine,
-        cell_timeout_seconds=cell_timeout_seconds,
+        budget_seconds, via_sql=via_sql, cap_tuples=10**12, jobs=jobs,
+        engine=engine, cell_timeout_seconds=cell_timeout_seconds,
     )
 
 
@@ -361,11 +376,11 @@ def _structured_scaling(
     free_fraction: float,
     seeds: int,
     budget_seconds: float,
-    via_sql: bool,
-    jobs: int = 1,
-    engine: str = "interpreted",
-    cell_timeout_seconds: float | None = None,
+    **options,
 ) -> Series:
+    """One structured graph family, scaling its order; ``options`` go to
+    :func:`_scaling_series`."""
+
     def build(order: float, seed: int) -> tuple[ConjunctiveQuery, Database]:
         graph = family(int(order))
         instance = coloring_instance(
@@ -380,10 +395,7 @@ def _structured_scaling(
         build_instance=build,
         seeds=seeds,
         budget_seconds=budget_seconds,
-        via_sql=via_sql,
-        jobs=jobs,
-        engine=engine,
-        cell_timeout_seconds=cell_timeout_seconds,
+        **options,
     )
 
 
@@ -401,7 +413,7 @@ def fig6_augmented_path(
     suffix = "boolean" if free_fraction == 0.0 else "nonboolean"
     return _structured_scaling(
         f"fig6_augpath_{suffix}", augmented_path, orders, free_fraction,
-        seeds, budget_seconds, via_sql, jobs=jobs, engine=engine,
+        seeds, budget_seconds, via_sql=via_sql, jobs=jobs, engine=engine,
         cell_timeout_seconds=cell_timeout_seconds,
     )
 
@@ -421,7 +433,7 @@ def fig7_ladder(
     suffix = "boolean" if free_fraction == 0.0 else "nonboolean"
     return _structured_scaling(
         f"fig7_ladder_{suffix}", ladder, orders, free_fraction, seeds,
-        budget_seconds, via_sql, jobs=jobs, engine=engine,
+        budget_seconds, via_sql=via_sql, jobs=jobs, engine=engine,
         cell_timeout_seconds=cell_timeout_seconds,
     )
 
@@ -441,7 +453,7 @@ def fig8_augmented_ladder(
     suffix = "boolean" if free_fraction == 0.0 else "nonboolean"
     return _structured_scaling(
         f"fig8_augladder_{suffix}", augmented_ladder, orders, free_fraction,
-        seeds, budget_seconds, via_sql, jobs=jobs, engine=engine,
+        seeds, budget_seconds, via_sql=via_sql, jobs=jobs, engine=engine,
         cell_timeout_seconds=cell_timeout_seconds,
     )
 
@@ -466,7 +478,7 @@ def fig9_augmented_circular_ladder(
         free_fraction,
         seeds,
         budget_seconds,
-        via_sql,
+        via_sql=via_sql,
         jobs=jobs,
         engine=engine,
         cell_timeout_seconds=cell_timeout_seconds,
@@ -594,7 +606,160 @@ def mediator_chain_scaling(
     )
 
 
-#: Registry for the CLI and the benchmark harness.
+def yannakakis_broken_chain(
+    hops: Sequence[int] = (4, 6, 8),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+    via_sql: bool = False,
+    jobs: int = 1,
+    engine: str = "interpreted",
+    cell_timeout_seconds: float | None = None,
+) -> Series:
+    """Section 7's semijoin direction on its best case: bucket elimination
+    vs Yannakakis on chains whose middle hop dangles every tuple
+    (:func:`~repro.workloads.mediator.broken_chain`).  The full reducer
+    keeps the largest intermediate at input size; it does not always
+    move fewer tuples in total, because its semijoin passes count too."""
+    from repro.workloads.mediator import broken_chain
+
+    def build(n: float, seed: int) -> tuple[ConjunctiveQuery, Database]:
+        return broken_chain(int(n), random.Random(seed))
+
+    return _scaling_series(
+        name="yannakakis_broken_chain",
+        x_label="hops",
+        x_values=[float(n) for n in hops],
+        build_instance=build,
+        methods=("bucket", "yannakakis"),
+        seeds=seeds,
+        budget_seconds=budget_seconds,
+        via_sql=via_sql,
+        jobs=jobs,
+        engine=engine,
+        cell_timeout_seconds=cell_timeout_seconds,
+    )
+
+
+# ----------------------------------------------------------------------
+# Ablations: one design choice varied, everything else fixed.  Each
+# column is a variant, not a planning method, so these run serially.
+# ----------------------------------------------------------------------
+def ablation_orders(
+    orders: Sequence[int] = (4, 6, 8, 10),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+) -> Series:
+    """Bucket elimination on ladders under each variable-ordering
+    heuristic.  The paper commits to MCS; the structure-aware heuristics
+    should match it and a random order should do worse.  The width column
+    is the plan width: the order's induced width plus one."""
+    from repro.core.buckets import bucket_elimination_plan
+
+    def run(heuristic, query, database, rng):
+        plan = bucket_elimination_plan(query, heuristic=heuristic, rng=rng).plan
+        return measure_plan(heuristic, plan, Engine(database))
+
+    return _structured_scaling(
+        "ablation_orders", ladder, orders, 0.0, seeds, budget_seconds,
+        methods=("mcs", "min_degree", "min_fill", "random"), run=run,
+    )
+
+
+def ablation_joins(
+    orders: Sequence[int] = (8, 10, 12),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+) -> Series:
+    """One bucket-elimination plan per instance (random 3-COLOR, density
+    3.0) under each join algorithm of the interpreted engine.  The paper
+    forced hash joins; the algorithms compute the same relations, so the
+    counters are identical and only the seconds differ."""
+    from repro.relalg.joins import JOIN_ALGORITHMS
+
+    def run(algorithm, query, database, rng):
+        plan = plan_query(query, "bucket", rng=rng)
+        backend = Engine(database, join_algorithm=JOIN_ALGORITHMS[algorithm])
+        return measure_plan(algorithm, plan, backend)
+
+    return _order_scaling(
+        "ablation_joins", 3.0, orders, 0.0, seeds, budget_seconds,
+        methods=("hash", "sort_merge", "nested_loop"), run=run,
+    )
+
+
+def ablation_distinct(
+    orders: Sequence[int] = (3, 4, 5, 6),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+) -> Series:
+    """Early-projection plans of augmented paths on the bag engine, with
+    every projection deduplicated (``eager``, the paper's ``SELECT
+    DISTINCT`` in each subquery) or only the result (``deferred``).
+    Duplicates born at a projection multiply through later joins."""
+    from repro.relalg.bag_engine import BagEngine
+
+    def run(variant, query, database, rng):
+        plan = plan_query(query, "early", rng=rng)
+        backend = BagEngine(database, dedup_projections=variant == "eager")
+        return measure_plan(variant, plan, backend)
+
+    return _structured_scaling(
+        "ablation_distinct", augmented_path, orders, 0.0, seeds,
+        budget_seconds, methods=("eager", "deferred"), run=run,
+    )
+
+
+def ablation_minibuckets(
+    orders: Sequence[int] = (10, 12, 14),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+) -> Series:
+    """Mini-bucket elimination on random 3-COLOR at density 4.0 under
+    i-bounds 2, 3 and 4 (relaxations: no intermediate wider than i, an
+    answer that may be too large), unbounded (``exact``), and bucket
+    elimination as the reference."""
+    from repro.core.minibuckets import mini_bucket_plan
+
+    def run(variant, query, database, rng):
+        if variant == "bucket":
+            plan = plan_query(query, "bucket", rng=rng)
+        else:
+            ibound = {"i2": 2, "i3": 3, "i4": 4}.get(variant, len(query.variables))
+            plan = mini_bucket_plan(query, ibound=ibound, rng=rng).plan
+        return measure_plan(variant, plan, Engine(database))
+
+    return _order_scaling(
+        "ablation_minibuckets", 4.0, orders, 0.0, seeds, budget_seconds,
+        methods=("i2", "i3", "i4", "exact", "bucket"), run=run,
+    )
+
+
+def ablation_rewrite(
+    orders: Sequence[int] = (4, 5, 6, 7, 8),
+    seeds: int = 3,
+    budget_seconds: float = 5.0,
+    engine: str = "interpreted",
+) -> Series:
+    """Section 7's rule-based route to projection pushing on augmented
+    paths: the straightforward plan, the same plan after
+    :func:`repro.rewrite.normalize`, and the early-projection and
+    bucket-elimination planners."""
+    from repro.rewrite import normalize
+
+    def run(variant, query, database, rng):
+        if variant == "normalized":
+            plan = normalize(plan_query(query, "straightforward", rng=rng))
+        else:
+            plan = plan_query(query, variant, rng=rng)
+        return measure_plan(variant, plan, make_engine(engine, database))
+
+    return _structured_scaling(
+        "ablation_rewrite", augmented_path, orders, 0.0, seeds, budget_seconds,
+        methods=("straightforward", "normalized", "early", "bucket"), run=run,
+    )
+
+
+#: Registry for the CLI: figure name -> series builder.
 FIGURES: dict[str, Callable[..., Series]] = {
     "fig2": fig2_compile,
     "fig3": fig3_density,
@@ -607,4 +772,10 @@ FIGURES: dict[str, Callable[..., Series]] = {
     "sat": sat_scaling,
     "relsize": relation_size_scaling,
     "mediator": mediator_chain_scaling,
+    "yannakakis": yannakakis_broken_chain,
+    "orders": ablation_orders,
+    "joins": ablation_joins,
+    "distinct": ablation_distinct,
+    "minibuckets": ablation_minibuckets,
+    "rewrite": ablation_rewrite,
 }

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.core.planner import plan_query
 from repro.core.query import ConjunctiveQuery
-from repro.plans import plan_width
+from repro.plans import Plan, plan_width
 from repro.relalg.compiled import make_engine
 from repro.relalg.database import Database
 from repro.relalg.stats import ExecutionStats
@@ -77,9 +77,10 @@ def run_method(
     ``via_sql=True`` routes through the full SQL pipeline (generate, parse,
     execute) as the paper's harness did; the default executes the logical
     plan directly on the engine, which measures the same intermediate
-    results without the parsing overhead.  ``engine`` selects the
-    execution backend for the plan path (``"interpreted"`` or
-    ``"compiled"``); the SQL path always uses the interpreted executor.
+    results without the parsing overhead.  ``engine`` names the plan
+    path's backend (``"interpreted"``, ``"compiled"`` or
+    ``"vectorized"``, as :func:`~repro.relalg.compiled.make_engine`
+    takes them); the SQL path always runs the SQL executor.
 
     ``cap_tuples`` is a feasibility guard (plan path only): if the plan's
     static worst case — ``domain ** plan_width`` — exceeds the cap, the
@@ -89,56 +90,68 @@ def run_method(
     """
     from repro.errors import TimeoutExceeded
 
-    stats = ExecutionStats()
     if via_sql:
+        stats = ExecutionStats()
         gen_start = time.perf_counter()
         text = generate_sql(query, method, rng=rng)
         ast = parse(text)
         generation_seconds = time.perf_counter() - gen_start
         start = time.perf_counter()
         result = sql_execute(ast, database, stats=stats)
-        wall = time.perf_counter() - start
-        width = None
-    else:
-        gen_start = time.perf_counter()
-        plan = plan_query(query, method, rng=rng)
-        generation_seconds = time.perf_counter() - gen_start
-        width = plan_width(plan)
-        if cap_tuples is not None:
-            domain = estimate_domain_size(database)
-            # Two static upper bounds on any intermediate's cardinality:
-            # domain^width (every column ranges over the domain) and the
-            # product of the scanned base cardinalities (a join can never
-            # exceed the cross product of its inputs).  Refuse only when
-            # the *tighter* one is hopeless.
-            from repro.plans import Scan as _Scan
-            from repro.plans import iter_nodes as _iter_nodes
+        return MethodRun(
+            method=method,
+            wall_seconds=time.perf_counter() - start,
+            generation_seconds=generation_seconds,
+            answer_cardinality=result.cardinality,
+            nonempty=not result.is_empty(),
+            plan_width=None,
+            stats=stats,
+        )
+    gen_start = time.perf_counter()
+    plan = plan_query(query, method, rng=rng)
+    generation_seconds = time.perf_counter() - gen_start
+    if cap_tuples is not None:
+        domain = estimate_domain_size(database)
+        # Two static upper bounds on any intermediate's cardinality:
+        # domain^width (every column ranges over the domain) and the
+        # product of the scanned base cardinalities (a join can never
+        # exceed the cross product of its inputs).  Refuse only when
+        # the *tighter* one is hopeless.
+        from repro.plans import Scan as _Scan
+        from repro.plans import iter_nodes as _iter_nodes
 
-            cross_product = 1
-            for node in _iter_nodes(plan):
-                if isinstance(node, _Scan):
-                    cross_product *= max(
-                        database.get(node.relation).cardinality, 1
-                    )
-                    if cross_product > cap_tuples:
-                        break
-            bound = min(domain**width, cross_product)
-            if bound > cap_tuples:
-                raise TimeoutExceeded(
-                    f"{method}: static bound {bound} exceeds "
-                    f"cap of {cap_tuples} tuples"
-                )
-        backend = make_engine(engine, database)
-        start = time.perf_counter()
-        result = backend.execute(plan, stats=stats)
-        wall = time.perf_counter() - start
+        cross_product = 1
+        for node in _iter_nodes(plan):
+            if isinstance(node, _Scan):
+                cross_product *= max(database.get(node.relation).cardinality, 1)
+                if cross_product > cap_tuples:
+                    break
+        bound = min(domain ** plan_width(plan), cross_product)
+        if bound > cap_tuples:
+            raise TimeoutExceeded(
+                f"{method}: static bound {bound} exceeds "
+                f"cap of {cap_tuples} tuples"
+            )
+    return measure_plan(
+        method, plan, make_engine(engine, database), generation_seconds
+    )
+
+
+def measure_plan(
+    method: str, plan: Plan, backend, generation_seconds: float = 0.0
+) -> MethodRun:
+    """Execute ``plan`` once on ``backend`` (anything with
+    ``execute(plan, stats=...)``) and measure it as a run of ``method``."""
+    stats = ExecutionStats()
+    start = time.perf_counter()
+    result = backend.execute(plan, stats=stats)
     return MethodRun(
         method=method,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - start,
         generation_seconds=generation_seconds,
         answer_cardinality=result.cardinality,
         nonempty=not result.is_empty(),
-        plan_width=width,
+        plan_width=plan_width(plan),
         stats=stats,
     )
 

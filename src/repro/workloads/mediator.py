@@ -11,7 +11,9 @@ provides them:
   (itineraries, supply chains);
 - **star** queries — one hub relation joined with many satellite
   relations (entity enrichment from per-source attribute tables);
-- **snowflake** queries — a star whose satellites have their own chains.
+- **snowflake** queries — a star whose satellites have their own chains;
+- **broken chains** — binary chains with one dangling hop, the instance
+  where Yannakakis' semijoin reduction beats width-optimal planning.
 
 Relations get independently drawn arities (2–4) and cardinalities, so no
 two sources look alike, unlike the single-6-tuple 3-COLOR setup.
@@ -171,6 +173,36 @@ def snowflake_query(
         ConjunctiveQuery(atoms=tuple(atoms), free_variables=(hub_vars[0],)),
         database,
     )
+
+
+def broken_chain(
+    hops: int, rng: random.Random, base: int = 100, fanout: int = 6
+) -> tuple[ConjunctiveQuery, Database]:
+    """A chain join whose middle hop dangles every tuple.
+
+    Each binary source maps ``base`` values to ``fanout`` successors, so
+    partial joins grow by a factor of ``fanout`` per hop, but the middle
+    hop writes its targets into a disjoint value space, so the answer is
+    empty.  A full reducer finds that before materializing anything; a
+    join-order planner pays about ``fanout ** (hops / 2)`` from whichever
+    end it starts.  This is the classic dangling-tuple instance where
+    Yannakakis' input-plus-output bound beats width-optimal planning.
+    """
+    if hops < 1:
+        raise WorkloadError("chain needs at least one hop")
+    database = Database()
+    atoms = []
+    for hop in range(hops):
+        offset = base if hop == hops // 2 else 0
+        rows = {
+            (source, rng.randrange(base) + offset)
+            for source in range(base)
+            for _ in range(fanout)
+        }
+        database.add(f"hop{hop}", Relation(("s", "t"), rows))
+        atoms.append(Atom(f"hop{hop}", (f"j{hop}", f"j{hop + 1}")))
+    query = ConjunctiveQuery(atoms=tuple(atoms), free_variables=("j0", f"j{hops}"))
+    return query, database
 
 
 MEDIATOR_SHAPES = {

@@ -11,12 +11,13 @@ correlated ``EXISTS``.  Cyclic queries must be rejected with a clean
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import METHODS, plan_query
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.semijoins import yannakakis_plan
+from repro.core.treewidth import EXACT_NODE_LIMIT
 from repro.errors import QueryStructureError
 from repro.plans import Semijoin, walk
 from repro.relalg.engine import evaluate
@@ -47,11 +48,17 @@ def acyclic_instances(draw):
 
 
 @given(acyclic_instances())
+@example(star_query(5, random.Random(41)))  # 19 variables
 @settings(max_examples=30, deadline=None)
 def test_yannakakis_agrees_with_all_paper_methods(pair):
     query, database = pair
     reference, _ = evaluate(yannakakis_plan(query), database)
     for method in PAPER_METHODS:
+        if method == "jointree" and len(query.variables) > EXACT_NODE_LIMIT:
+            # Documented refusal: exact treewidth stops at the node limit.
+            with pytest.raises(ValueError, match="exact treewidth limited"):
+                plan_query(query, method, rng=random.Random(3))
+            continue
         plan = plan_query(query, method, rng=random.Random(3))
         result, _ = evaluate(plan, database)
         assert result == reference, method

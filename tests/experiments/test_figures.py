@@ -19,7 +19,8 @@ from repro.experiments.figures import (
 def test_registry_covers_every_figure():
     assert set(FIGURES) == {
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-        "sat", "relsize", "mediator",
+        "sat", "relsize", "mediator", "yannakakis",
+        "orders", "joins", "distinct", "minibuckets", "rewrite",
     }
 
 
@@ -140,6 +141,10 @@ class TestSat:
 
 
 class TestBudget:
+    def test_a_series_needs_a_seed(self):
+        with pytest.raises(ValueError, match="seeds must be >= 1"):
+            fig3_density(order=7, densities=(1.0,), seeds=0)
+
     def test_timeout_retires_method(self):
         # An absurdly small budget retires everything after the first size.
         series = fig3_density(

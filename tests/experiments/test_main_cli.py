@@ -109,3 +109,37 @@ def test_main_runs_fig2(capsys):
     assert exit_code == 0
     out = capsys.readouterr().out
     assert "fig2_compile" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig6", "--seeds", "0"],
+        ["fig6", "--seeds", "-2"],
+        ["fig6", "--budget-seconds", "-1"],
+        ["fig6", "--budget-seconds", "0"],
+        ["fig6", "--cell-timeout-seconds", "0"],
+        ["fig6", "--jobs", "-1"],
+        ["fig6", "--jobs", "0"],
+        ["fig5", "--orders", "8"],  # 48 edges do not fit on 8 vertices
+    ],
+)
+def test_out_of_range_settings_are_usage_errors(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_kwargs_routing_follows_each_builders_signature():
+    parser = build_argument_parser()
+    args = parser.parse_args(
+        ["orders", "--orders", "4", "6", "--free-fraction", "0.2",
+         "--engine", "vectorized", "--jobs", "2", "--via-sql"]
+    )
+    assert _kwargs_for("rewrite", args) == {"orders": [4, 6], "engine": "vectorized"}
+    assert _kwargs_for("joins", args) == {"orders": [4, 6]}
+    assert "orders" not in _kwargs_for("yannakakis", args)
+    assert _kwargs_for("yannakakis", args)["via_sql"] is True

@@ -14,6 +14,7 @@ Pins the properties the vectorized engine's kernels rely on:
 - the two-layout memory footprint report.
 """
 
+import random
 from array import array
 
 import pytest
@@ -30,6 +31,8 @@ from repro.relalg.columnar import (
     pool_epoch,
 )
 from repro.relalg.relation import Relation, intern_header
+from repro.workloads.coloring import coloring_instance
+from repro.workloads.graphs import random_graph
 
 
 class TestInterning:
@@ -202,6 +205,17 @@ class TestMemoryFootprint:
         rel = Relation(("a", "b", "c", "d"), set(rows))
         report = rel.memory_footprint()
         assert report["columnar_bytes"] < report["row_layout_bytes"]
+        # The relation-size study's k-COLOR catalogs (k * (k - 1) edge
+        # tuples) are small-domain too, from k = 3 up.
+        graph = random_graph(10, 20, random.Random(42))
+        for colors in (3, 4, 5, 6):
+            database = coloring_instance(graph, colors=colors).database
+            totals = {"columnar_bytes": 0, "row_layout_bytes": 0}
+            for name in database.names():
+                footprint = database.get(name).memory_footprint()
+                for key in totals:
+                    totals[key] += footprint[key]
+            assert totals["columnar_bytes"] < totals["row_layout_bytes"], colors
 
 
 class TestClearInterning:

@@ -1,9 +1,10 @@
 """Property-based agreement tests for the three join algorithms.
 
-The ablation benchmark's comparison is only meaningful if ``hash``,
-``sort_merge``, and ``nested_loop`` compute the same function; hypothesis
-checks that over random small relations (integer domains, so sort-merge's
-comparability requirement holds).
+The ``joins`` ablation (``python -m repro.experiments joins``) compares
+seconds only, which is meaningful only if ``hash``, ``sort_merge`` and
+``nested_loop`` compute the same function; hypothesis checks that over
+random small relations (integer domains, so sort-merge's comparability
+requirement holds).
 """
 
 from hypothesis import given

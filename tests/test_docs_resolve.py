@@ -15,7 +15,9 @@ follows a ``:`` (``file.py:name``, ``git show rev:path``) and what
 Every ``--flag`` of a ``python -m repro <subcommand>`` command in those
 backticks must also be a visible option of that subcommand in
 ``build_argument_parser()``; a flag hidden from ``--help`` counts as
-undocumented.
+undocumented.  A ``python -m repro.experiments <figure>`` command must
+name a ``FIGURES`` key or ``all`` (placeholders are skipped, as above),
+and its flags must be visible options of that CLI's parser.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def test_the_scan_sees_citations_and_rejects_what_is_gone(tree):
     cited = {t for doc in DOCS if doc.is_file() for t in cited_paths(doc, top_level)}
     assert {"benchmarks/layers/run.py", "BENCHMARK.json"} <= cited
     assert resolves("relalg/compiled.py", paths)
-    assert resolves("benchmarks/bench_fig[6-9]_*.py", paths)
+    assert resolves("tests/experiments/test_*.py", paths)
     assert not resolves("benchmarks/bench_deleted_driver.py", paths)
     assert not resolves("__init__.py", paths)  # names many files
     assert path_token("9fd2e7d:deleted.json", top_level) is None
@@ -139,17 +141,22 @@ def test_the_scan_sees_citations_and_rejects_what_is_gone(tree):
 # ----------------------------------------------------------------------
 # Documented CLI flags exist
 # ----------------------------------------------------------------------
-#: ``python -m repro <subcommand>`` (``run|program`` names two), then the
-#: rest of the command up to a shell operator or comment.
+#: ``python -m repro <subcommand>`` (``run|program`` names two) or
+#: ``python -m repro.experiments <figure>``, then the rest of the command
+#: up to a shell operator or comment.
 COMMAND = re.compile(
-    r"\bpython3? -m repro\s+([a-z]+(?:\|[a-z]+)*)(.*?)(?=\s[|;&>#]|$)", re.S
+    r"\bpython3? -m repro(?:\s+([a-z]+(?:\|[a-z]+)*)|\.experiments\s+([^\s-]\S*))"
+    r"(.*?)(?=\s[|;&>#]|$)",
+    re.S,
 )
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def documented_commands(text: str):
     """``(subcommand, flags)`` for every ``python -m repro`` command in a
-    fenced block line (``\\``-continued lines joined) or backticked span."""
+    fenced block line (``\\``-continued lines joined) or backticked span;
+    a ``python -m repro.experiments`` command's subcommand is
+    ``experiments <figure>``."""
     bodies = [
         line
         for block in FENCE.findall(text)
@@ -158,45 +165,71 @@ def documented_commands(text: str):
     bodies += [body for _, body in SPAN.findall(FENCE.sub("", text))]
     for body in bodies:
         for match in COMMAND.finditer(body):
-            flags = FLAG.findall(match.group(2))
+            flags = FLAG.findall(match.group(3))
+            if match.group(2):
+                yield f"experiments {match.group(2)}", flags
+                continue
             for subcommand in match.group(1).split("|"):
                 yield subcommand, flags
 
 
+def _visible(parser) -> set[str]:
+    """A parser's option strings; a flag whose help is suppressed is hidden."""
+    import argparse
+
+    return {
+        flag
+        for action in parser._actions
+        if action.help is not argparse.SUPPRESS
+        for flag in action.option_strings
+    }
+
+
 def visible_flags() -> dict[str, set[str]]:
-    """``{subcommand: flags}``; a flag whose help is suppressed is hidden."""
+    """``{subcommand: flags}``, with ``experiments <figure>`` for every
+    figure ``python -m repro.experiments`` accepts."""
     import argparse
 
     from repro.__main__ import build_argument_parser
+    from repro.experiments.__main__ import (
+        build_argument_parser as build_experiments_parser,
+    )
+    from repro.experiments.figures import FIGURES
 
     (commands,) = (
         action
         for action in build_argument_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    return {
-        name: {
-            flag
-            for action in parser._actions
-            if action.help is not argparse.SUPPRESS
-            for flag in action.option_strings
-        }
-        for name, parser in commands.choices.items()
-    }
+    flags = {name: _visible(parser) for name, parser in commands.choices.items()}
+    experiments = _visible(build_experiments_parser())
+    for figure in [*FIGURES, "all"]:
+        flags[f"experiments {figure}"] = experiments
+    return flags
+
+
+def unknown_commands(text: str) -> list[str]:
+    """Documented subcommands, figures and flags that do not exist."""
+    flags = visible_flags()
+    experiments = flags["experiments all"]
+    unknown = []
+    for subcommand, used in documented_commands(text):
+        known = flags.get(subcommand)
+        if known is None and SKIP.search(subcommand):
+            known = experiments  # a placeholder figure such as <figure>
+        if known is None:
+            unknown.append(subcommand)
+            continue
+        unknown += [f"{subcommand} {flag}" for flag in used if flag not in known]
+    return sorted(unknown)
 
 
 @pytest.mark.parametrize(
     "doc", [doc for doc in DOCS if doc.is_file()], ids=lambda doc: doc.name
 )
 def test_documented_cli_flags_exist(doc):
-    flags = visible_flags()
-    unknown = sorted(
-        f"{subcommand} {flag}"
-        for subcommand, used in documented_commands(doc.read_text(encoding="utf-8"))
-        for flag in used
-        if flag not in flags.get(subcommand, ())
-    )
-    assert not unknown, f"{doc.name} documents CLI flags that do not exist: {unknown}"
+    unknown = unknown_commands(doc.read_text(encoding="utf-8"))
+    assert not unknown, f"{doc.name} documents CLI commands that do not exist: {unknown}"
 
 
 def test_the_flag_scan_sees_commands_and_rejects_hidden_flags():
@@ -214,3 +247,24 @@ def test_the_flag_scan_sees_commands_and_rejects_hidden_flags():
     flags = visible_flags()
     assert {"--help", "--workers"} <= flags["serve"]
     assert "--dot" in flags["plan"] and "--dot" not in flags["serve"]
+
+
+def test_the_scan_checks_experiment_figures_and_flags():
+    text = (
+        "```bash\npython -m repro.experiments fig6 --seeds 2  # --x\n"
+        "python -m repro.experiments fig10 --summary\n```\n"
+        "Run `python -m repro.experiments <figure> --summary --colour`,\n"
+        "`python -m repro.experiments all --port 1` or the `python -m\n"
+        "repro.experiments` package.\n"
+    )
+    assert list(documented_commands(text)) == [
+        ("experiments fig6", ["--seeds"]),
+        ("experiments fig10", ["--summary"]),
+        ("experiments <figure>", ["--summary", "--colour"]),
+        ("experiments all", ["--port"]),
+    ]
+    assert unknown_commands(text) == [
+        "experiments <figure> --colour",
+        "experiments all --port",
+        "experiments fig10",
+    ]
