@@ -68,7 +68,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "Relation": "relalg",
         "Database": "relalg",
         "Engine": "relalg",
-        "CompiledEngine": "relalg",
         "VectorizedEngine": "relalg",
         "make_engine": "relalg",
         "ExecutionStats": "relalg",

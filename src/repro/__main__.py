@@ -52,9 +52,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=ENGINE_NAMES,
             default="interpreted",
-            help="execution backend: the materializing interpreter, the "
-            "fused plan compiler, or the vectorized columnar compiler "
-            "(default: interpreted)",
+            help="execution backend: the materializing interpreter, or the "
+            "compiled engine (fused kernels over column batches), which "
+            "'compiled' and 'vectorized' both name (default: interpreted)",
         )
         sub.add_argument(
             "--join-algorithm",

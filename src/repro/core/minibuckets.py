@@ -156,18 +156,22 @@ def _partition(residents: list[Plan], ibound: int) -> list[list[Plan]]:
     """First-fit partition of residents into mini-buckets whose combined
     schema stays within ``ibound`` variables.  A resident wider than the
     bound forms a singleton mini-bucket (the bound cannot split an atom).
+    Each mini-bucket lists its members in arrival order, the order the
+    caller joins them in, so an unsplit bucket is joined exactly as
+    bucket elimination joins it.
     """
-    partitions: list[tuple[set[str], list[Plan]]] = []
+    partitions: list[tuple[set[str], list[int]]] = []
     # Widest first: classic first-fit-decreasing keeps partitions few.
-    for resident in sorted(residents, key=lambda p: -len(p.columns)):
-        columns = set(resident.columns)
+    widths = [len(resident.columns) for resident in residents]
+    for index in sorted(range(len(residents)), key=lambda i: -widths[i]):
+        columns = set(residents[index].columns)
         placed = False
         for schema, members in partitions:
             if len(schema | columns) <= max(ibound, len(columns)):
                 schema |= columns
-                members.append(resident)
+                members.append(index)
                 placed = True
                 break
         if not placed:
-            partitions.append((columns, [resident]))
-    return [members for _, members in partitions]
+            partitions.append((columns, [index]))
+    return [[residents[i] for i in sorted(members)] for _, members in partitions]

@@ -87,7 +87,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("interpreted", "compiled", "vectorized"),
         default=None,
-        help="execution backend for plan-path runs (default: interpreted)",
+        help="execution backend for plan-path runs: the interpreter, or "
+        "the compiled engine, which 'compiled' and 'vectorized' both name "
+        "(default: interpreted)",
     )
     parser.add_argument(
         "--jobs",

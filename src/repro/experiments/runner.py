@@ -78,9 +78,10 @@ def run_method(
     execute) as the paper's harness did; the default executes the logical
     plan directly on the engine, which measures the same intermediate
     results without the parsing overhead.  ``engine`` names the plan
-    path's backend (``"interpreted"``, ``"compiled"`` or
-    ``"vectorized"``, as :func:`~repro.relalg.compiled.make_engine`
-    takes them); the SQL path always runs the SQL executor.
+    path's backend as :func:`~repro.relalg.compiled.make_engine` takes
+    it: ``"interpreted"``, or ``"compiled"`` / ``"vectorized"``, two
+    names of the compiled engine; the SQL path always runs the SQL
+    executor.
 
     ``cap_tuples`` is a feasibility guard (plan path only): if the plan's
     static worst case — ``domain ** plan_width`` — exceeds the cap, the

@@ -9,12 +9,12 @@ Public surface:
   relation).
 - :class:`~repro.relalg.engine.Engine` — evaluates :mod:`repro.plans` trees,
   with pluggable join algorithms and work counters.
-- :class:`~repro.relalg.compiled.CompiledEngine` — compiles plans into
-  fused per-plan closures (same answers, same logical work counters,
-  much less interpretation overhead); :class:`~repro.relalg.compiled.VectorizedEngine`
-  — the same compilation over dictionary-encoded column batches
-  (:mod:`repro.relalg.columnar`); :func:`~repro.relalg.compiled.make_engine`
-  constructs any backend by name.
+- :class:`~repro.relalg.compiled.VectorizedEngine` — the compiled
+  engine: plans lowered once into fused kernels over dictionary-encoded
+  column batches (:mod:`repro.relalg.columnar`), with the same answers
+  and logical work counters; :func:`~repro.relalg.compiled.make_engine`
+  constructs any backend by name (``compiled`` and ``vectorized`` both
+  name this one).
 - :class:`~repro.relalg.cache.CacheInfo` — the uniform record every
   engine's ``cache_info()`` returns; mutating a relation through the
   catalog's delta APIs evicts exactly the cached results that depend on
@@ -31,7 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "database_from_tuples": "database",
         "edge_database": "database",
         "Engine": "engine",
-        "CompiledEngine": "compiled",
         "VectorizedEngine": "compiled",
         "ColumnStore": "columnar",
         "CacheInfo": "cache",
@@ -42,7 +41,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "make_engine": "compiled",
         "DEFAULT_PLAN_CACHE_SIZE": "engine",
         "evaluate": "engine",
-        "compiled_evaluate": "compiled",
         "vectorized_evaluate": "compiled",
         "is_nonempty": "engine",
         "BagEngine": "bag_engine",

@@ -185,6 +185,7 @@ class ColumnStore:
         "cardinality",
         "pool_epoch",
         "_key_indexes",
+        "_sorted_indexes",
         "_domains",
         "_arrays",
         "_rows",
@@ -201,6 +202,8 @@ class ColumnStore:
         self.pool_epoch = _POOL_EPOCH if epoch is None else epoch
         #: positions-tuple -> (spans dict, row-id array); see key_index().
         self._key_indexes: dict[tuple[int, ...], tuple[dict, array]] = {}
+        #: position -> (order, sorted codes); see sorted_index().
+        self._sorted_indexes: dict[int, tuple] = {}
         self._domains: dict[int, array] = {}
         self._arrays: tuple | None = None
         self._rows: list[tuple] | None = None
@@ -277,6 +280,20 @@ class ColumnStore:
         result = (spans, row_ids)
         self._key_indexes[positions] = result
         return result
+
+    def sorted_index(self, position: int) -> tuple:
+        """Memoized sort of one column: ``(order, sorted_codes)``, two
+        ``int64`` numpy arrays from one stable ``argsort``, so that
+        ``order[lo:hi]`` lists the rows holding the codes in
+        ``sorted_codes[lo:hi]``.  One per relation version and column,
+        shared by every plan node and engine that probes it; the array
+        kernels' few-match lookup (numpy required, like :meth:`arrays`)."""
+        cached = self._sorted_indexes.get(position)
+        if cached is None:
+            column = self.arrays()[position]
+            order = numpy_module().argsort(column, kind="stable")
+            cached = self._sorted_indexes[position] = (order, column[order])
+        return cached
 
     def arrays(self) -> tuple:
         """The code columns as ``int64`` numpy arrays, built once and

@@ -1,39 +1,40 @@
-"""Compiled execution backend: plans fused into generated per-plan closures.
+"""The compiled execution engine: plans lowered into fused units over
+dictionary-encoded column batches.
 
 The interpreted engine (:mod:`repro.relalg.engine`) pays Python-level
 per-node dispatch, re-derives the operator layout (join columns, key
 positions, output headers) on every execution, and materializes a full
 :class:`~repro.relalg.relation.Relation` at *every* operator.  None of
 that work depends on the data — only on the plan — so this module moves
-it to a one-time compilation step: each plan tree is lowered, bottom-up
-through the shared visitor framework of :mod:`repro.plans`, into a tree
-of *units*, each a specialized closure over precomputed positions and
-extractors.  Executing a compiled plan runs the closures; nothing is
-dispatched on node types and no intermediate ``Relation`` objects exist
-until the final answer.
+it to a one-time compilation step: each plan tree is lowered, bottom-up,
+into a tree of *units*, each a kernel specialized on precomputed
+positions.  Executing a compiled plan runs the kernels over *batches* of
+the global dictionary codes of :mod:`repro.relalg.columnar`; nothing is
+dispatched on node types and no intermediate ``Relation`` exists until
+the final answer is decoded.  :class:`VectorizedEngine` is the engine;
+:func:`make_engine` serves it under the names ``compiled`` and
+``vectorized``.
 
 Fusion rules (what a unit covers):
 
-- **Scan fusion** — a :class:`~repro.plans.Scan`'s constant selections,
-  repeated-variable equalities, rename, and trailing projection become a
-  single per-row transform; a scan with no constants and no repeats is
-  *zero-copy* (the unit returns the base relation's row set unchanged).
+- **Scan folding** — a :class:`~repro.plans.Scan`'s constant selections,
+  repeated-variable equalities, and a projection on top become one
+  *scan unit* whose batch is computed once per version of the base
+  relation; a scan with no constants and no repeats is *zero-copy* (its
+  batch is the base relation's column store).
+- **Chain pipelines** — a run of joins and semijoins down a left spine
+  whose right sides are scan units becomes one generated nested-loop
+  kernel that never materializes the interior results.
 - **Project-over-Join fusion** — the projected columns are emitted
-  during the hash probe; the wide join tuple is never allocated.  Its
-  logical cardinality (which the work counters need) is *counted*
-  instead of materialized: the build side's extra columns are deduped
-  per key bucket, so the number of distinct wide tuples is the sum of
-  bucket sizes over matching probe rows.
+  while probing; the wide join result is *counted* (the work counters
+  need its cardinality) but never allocated.
 - **Project-over-Semijoin fusion** — the semijoin filter and the
   projection run in one pass over the left operand.
-- **Semijoin compilation** — the right operand becomes a key *set* (or,
-  when the right child is a zero-copy scan, the base relation's memoized
-  key index) and the left operand is filtered by membership.
 
-Everything else (bare joins feeding joins, projections over scans or
-projections) must still materialize its output: the logical work
-counters report every operator's *distinct* output cardinality, and a
-distinct count cannot be produced without building the distinct set.
+Everything else (bare joins feeding joins, projections over dynamic
+inputs) must still materialize its output: the logical work counters
+report every operator's *distinct* output cardinality, and a distinct
+count cannot be produced without building the distinct set.
 
 **Stats-parity contract.**  The logical work counters of
 :class:`~repro.relalg.stats.ExecutionStats` — ``joins``, ``semijoins``,
@@ -41,13 +42,12 @@ distinct count cannot be produced without building the distinct set.
 ``max_intermediate_cardinality``, ``max_intermediate_arity``,
 ``peak_live_tuples``, and the arity trace — are byte-identical to the
 interpreted engine's on every plan, because those counters drive the
-paper's figures.  Fused-away outputs are recorded with
-``record_output(..., built=False)``: they count as logical intermediates
-but not toward ``rows_built``, so ``rows_built`` (a physical counter)
-measures exactly what fusion saved.  ``cache_hits``/``cache_misses`` are
-cache-state counters and may differ from the interpreter's: the compiled
-engine caches at *unit* granularity (a fused Project-over-Join is one
-entry), the interpreter at node granularity.
+paper's figures.  Fused-away outputs count as logical intermediates but
+not toward ``rows_built``, so ``rows_built`` (a physical counter)
+measures what fusion saved.  ``cache_hits``/``cache_misses`` are
+cache-state counters and may differ from the interpreter's: this engine
+caches at *unit* granularity (a fused Project-over-Join is one entry),
+the interpreter at node granularity.
 
 The common-subexpression cache mirrors the interpreted engine's: an LRU
 memo keyed on ``(plan_key, dependency-version-vector)`` pairs, with
@@ -55,17 +55,11 @@ entries evicted selectively when the relations they depend on mutate
 (see :mod:`repro.relalg.cache`) and per-entry stats snapshots replayed
 on hits so the logical counters stay cache-state independent.
 
-Both the compiler and the execution driver are iterative (explicit
+Both the compiler and the execution drivers are iterative (explicit
 stacks), so plans thousands of operators deep — the Figure 6 scaling
-regime — compile and run without touching the recursion limit.
-
-On top of the same fusion grouping, drivers, and CSE cache, this module
-also provides :class:`VectorizedEngine`: a second lowering whose unit
-payloads are dictionary-encoded *column batches* (see
-:mod:`repro.relalg.columnar`) instead of row sets, with whole-column
-kernels replacing the per-row closures.  See the "Vectorized (columnar)
-lowering" section below for the batch format and its distinctness
-invariant.
+regime — compile and run without touching the recursion limit.  See the
+"Batches and kernels" section below for the batch format and its
+distinctness invariant.
 """
 
 from __future__ import annotations
@@ -94,7 +88,6 @@ from repro.relalg.relation import Relation, intern_header, join_layout
 from repro.relalg.stats import ExecutionStats
 
 Row = tuple[Any, ...]
-Rows = frozenset[Row] | set[Row]
 
 # ----------------------------------------------------------------------
 # Closure generation helpers
@@ -129,9 +122,8 @@ def _tuple_extractor(positions: Sequence[int]) -> Callable[[Row], Row]:
 
 def _key_extractor(positions: Sequence[int]) -> Callable[[Row], Any]:
     """Row -> hash key: the bare value for one position, a tuple for
-    several — the same two representations as
-    :func:`repro.relalg.relation._key_getter`, so compiled probes can
-    consume ``Relation._key_index`` buckets directly."""
+    several — the same two shapes as :meth:`ColumnStore.key_index`
+    keys, so row-path probes can test membership in it directly."""
     if len(positions) == 1:
         return itemgetter(positions[0])
     return itemgetter(*positions)
@@ -197,17 +189,14 @@ class _Unit:
     at run time; what is derived from them lives in cells
     (:func:`_cell`).
 
-    ``fn(stats, *child_payloads)`` evaluates the group, records the
+    ``fn(stats, *child_batches)`` evaluates the group, records the
     logical stats of every plan node it covers (in the interpreter's
-    post-order), and returns the output payload — a row set for
-    :class:`CompiledEngine`, a column batch for
-    :class:`VectorizedEngine`.  ``key`` is the ``plan_key`` of the
-    group's *root* plan node — the CSE cache key.
-    ``source``/``source_columns``/``source_positions`` are set only for
-    zero-copy scans, so parents can reuse the base relation's memoized
-    key index (by column name for the row engine, by column position
-    for the columnar one); ``source()`` is the scanned relation as the
-    catalog holds it now.
+    post-order), and returns the output batch.  ``key`` is the
+    ``plan_key`` of the group's *root* plan node — the CSE cache key.
+    ``source``/``source_positions`` are set only for zero-copy scans
+    (and projections folded onto one), so parents can reuse the base
+    relation's memoized key index by column position; ``source()`` is
+    the scanned relation as the catalog holds it now.
     """
 
     fn: Callable[..., Any]
@@ -215,9 +204,8 @@ class _Unit:
     key: tuple
     header: tuple[str, ...]
     source: Callable[[], Relation] | None = None
-    source_columns: dict[str, str] | None = None
     source_positions: dict[str, int] | None = None
-    #: Set only on vectorized *scan units* (a scan, or a projection
+    #: Set only on *scan units* (a scan, or a projection
     #: folded over one): ``bound()`` is ``(batch, (total, built,
     #: max_card))`` — the unit's output over the relation the catalog
     #: holds now and the data-dependent part of its stats — the same
@@ -226,9 +214,9 @@ class _Unit:
     #: absorb the unit into a pipeline.
     bound: Callable[[], tuple] | None = None
     #: Lazily flattened post-order ``[(fn, nargs), ...]`` of the unit
-    #: tree rooted here (vectorized uncached driver).
+    #: tree rooted here (uncached driver).
     program: list | None = None
-    #: Set only on vectorized pipeline units: the scan units its stages
+    #: Set only on pipeline units: the scan units its stages
     #: probe, bottom-up.  The kernel reads their ``bound`` records
     #: itself, so the drivers never schedule them as children.
     stages: tuple["_Unit", ...] = ()
@@ -238,375 +226,6 @@ class _Unit:
     #: of these relations mutates, the unit itself only when one of them
     #: is dropped or changes columns.
     deps: tuple[str, ...] = ()
-
-
-def _unit_children(node: Plan) -> tuple[Plan, ...]:
-    """Child *plan* nodes of the fused unit rooted at ``node`` — the
-    places where a materialized input is required."""
-    if isinstance(node, Project):
-        child = node.child
-        if isinstance(child, (Join, Semijoin)):
-            return (child.left, child.right)
-        return (child,)
-    if isinstance(node, (Join, Semijoin)):
-        return (node.left, node.right)
-    if isinstance(node, Scan):
-        return ()
-    raise PlanError(f"unknown plan node {node!r}")
-
-
-class CompiledEngine:
-    """Drop-in alternative to :class:`~repro.relalg.engine.Engine` that
-    compiles each plan once and executes the generated closures.
-
-    Parameters
-    ----------
-    database:
-        Catalog of base relations.  Scans read their relation from it at
-        run time, so a write invalidates only the cached *results* whose
-        dependency footprint (:func:`repro.plans.dependencies`) includes
-        the written relation; compiled units survive every write that
-        keeps their relations' columns.
-    plan_cache_size:
-        Capacity of the common-subexpression result cache, with the same
-        semantics as the interpreted engine's (LRU on
-        ``(plan_key, dependency-version-vector)``, selective eviction on
-        version change, logical stats replayed from per-entry snapshots
-        on hits).  Pass ``0`` to disable result caching; compiled *code*
-        is always reused until one of its base relations is dropped or
-        changes columns.
-
-    The join strategy is always hash-based (the paper's forced choice);
-    there is no ``join_algorithm`` parameter.
-
-    Examples
-    --------
-    >>> from repro.relalg.database import edge_database
-    >>> from repro.plans import Scan, Join, Project
-    >>> db = edge_database()
-    >>> plan = Project(Join(Scan("edge", ("a", "b")), Scan("edge", ("b", "c"))), ("a",))
-    >>> CompiledEngine(db).execute(plan).cardinality
-    3
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-    ) -> None:
-        if plan_cache_size < 0:
-            raise ValueError(f"plan_cache_size must be >= 0, got {plan_cache_size}")
-        self._database = database
-        self._cache_size = plan_cache_size
-        self._cache = DependencyCache(plan_cache_size)
-        # Unbounded: compiled code is cheap to retain and is evicted
-        # precisely when one of its base relations leaves the catalog or
-        # changes columns (``_schemas``: what each was lowered against).
-        self._units = DependencyCache(None)
-        self._schemas: dict[str, tuple[str, ...]] = {}
-        self._tracker = CatalogVersionTracker(database)
-
-    @property
-    def database(self) -> Database:
-        """The catalog this engine evaluates against."""
-        return self._database
-
-    @property
-    def plan_cache_enabled(self) -> bool:
-        """Whether the common-subexpression result cache is active."""
-        return self._cache_size > 0
-
-    def clear_plan_cache(self) -> None:
-        """Drop every cached result (compiled code is kept)."""
-        self._cache.clear()
-
-    def clear_compiled(self) -> None:
-        """Drop every compiled unit (and, since cached rows were produced
-        by them, every cached result too)."""
-        self._units.clear()
-        self._cache.clear()
-
-    def cache_info(self) -> CacheInfo:
-        """Cumulative result-cache traffic and current retention:
-        ``hits``, ``misses``, ``evictions``, ``entries``, ``capacity``
-        (the configured bound — this is the field's name, per
-        docs/API.md), and ``units``, the number of retained compiled
-        units."""
-        cache = self._cache
-        return CacheInfo(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            entries=len(cache),
-            capacity=self._cache_size,
-            units=len(self._units),
-        )
-
-    def clear_cache(self) -> None:
-        """Drop every cached result and compiled unit; zero the traffic
-        counters."""
-        self._units.reset()
-        self._cache.reset()
-
-    def execute(self, plan: Plan, stats: ExecutionStats | None = None) -> Relation:
-        """Compile (or reuse) and evaluate ``plan``.
-
-        If ``stats`` is provided, work counters are accumulated into it.
-        """
-        stats = stats if stats is not None else ExecutionStats()
-        self._sync_catalog()
-        unit = self._compile(plan)
-        rows = self._run(unit, stats)
-        if not isinstance(rows, frozenset):
-            rows = frozenset(rows)
-            # Upgrade the cached root rows in place so a warm repeat
-            # returns without re-freezing.
-            key = (unit.key, self._tracker.vector(unit.deps))
-            entry = self._cache.peek(key)
-            if entry is not None:
-                self._cache.replace_value(key, (rows, entry[1]))
-        return Relation._from_trusted(unit.header, rows)
-
-    def execute_with_stats(self, plan: Plan) -> tuple[Relation, ExecutionStats]:
-        """Evaluate ``plan``; return both the result and fresh stats."""
-        stats = ExecutionStats()
-        result = self.execute(plan, stats=stats)
-        return result, stats
-
-    # ------------------------------------------------------------------
-    # Execution drivers (iterative, mirroring Engine._eval_*)
-    # ------------------------------------------------------------------
-    def _sync_catalog(self) -> None:
-        """Bring both stores up to the catalog's current state.
-
-        What is kept per what: a *unit* is per plan shape and base
-        schema, so it goes only when a relation of its footprint has
-        left the catalog or has other columns than the ones it was
-        lowered against; a cached *result* is per input version, so it
-        goes whenever a relation of its footprint was written.  What a
-        surviving unit derived from the old rows sits in cells keyed on
-        the object it was derived from and is rebuilt by the first
-        execution that meets the new one.
-        """
-        changed = self._tracker.changed_relations()
-        if not changed:
-            return
-        self._cache.evict_dependents(changed)
-        database, schemas = self._database, self._schemas
-        reshaped = [
-            name
-            for name in changed
-            if name in schemas
-            and (name not in database or database.get(name).columns != schemas[name])
-        ]
-        if reshaped:
-            self._units.evict_dependents(reshaped)
-            for name in reshaped:
-                del schemas[name]
-
-    def _run(self, unit: _Unit, stats: ExecutionStats) -> Rows:
-        if not self._cache_size:
-            return self._run_uncached(unit, stats)
-        return self._run_cached(unit, stats)
-
-    def _run_uncached(self, unit: _Unit, stats: ExecutionStats) -> Rows:
-        root: list[Rows] = []
-        stack: list[tuple[_Unit, list[Rows], list[Rows] | None]] = [
-            (unit, root, None)
-        ]
-        while stack:
-            u, dest, inputs = stack.pop()
-            if inputs is None:
-                if not u.children:
-                    dest.append(u.fn(stats))
-                    continue
-                inputs = []
-                stack.append((u, dest, inputs))
-                for child in reversed(u.children):
-                    stack.append((child, inputs, None))
-            else:
-                dest.append(u.fn(stats, *inputs))
-        return root[0]
-
-    def _run_cached(self, unit: _Unit, stats: ExecutionStats) -> Rows:
-        # Same structure (and cache semantics) as Engine._eval_cached:
-        # the lookup happens before a unit's children are scheduled, so a
-        # hit skips the whole subtree; a miss evaluates into a fresh
-        # subtree accumulator whose logical counters become the entry's
-        # replay snapshot.
-        root: list[Rows] = []
-        stack: list[
-            tuple[
-                _Unit,
-                list[Rows],
-                ExecutionStats,
-                tuple[tuple, ExecutionStats, list[Rows]] | None,
-            ]
-        ] = [(unit, root, stats, None)]
-        cache = self._cache
-        tracker = self._tracker
-        while stack:
-            u, dest, sink, pending = stack.pop()
-            if pending is None:
-                key = (u.key, tracker.vector(u.deps))
-                entry = cache.get(key)
-                if entry is not None:
-                    # A vectorized root's entry carries its decoded
-                    # answer third (VectorizedEngine.execute).
-                    rows, snapshot = entry[0], entry[1]
-                    sink.cache_hits += 1
-                    sink.merge(snapshot)
-                    dest.append(rows)
-                    continue
-                sink.cache_misses += 1
-                subtree = ExecutionStats()
-                inputs: list[Rows] = []
-                stack.append((u, dest, sink, (key, subtree, inputs)))
-                for child in reversed(u.children):
-                    stack.append((child, inputs, subtree, None))
-            else:
-                key, subtree, inputs = pending
-                rows = u.fn(subtree, *inputs)
-                sink.merge(subtree)
-                subtree.rows_built = 0
-                subtree.cache_hits = 0
-                subtree.cache_misses = 0
-                cache.put(key, (rows, subtree), u.deps)
-                dest.append(rows)
-        return root[0]
-
-    # ------------------------------------------------------------------
-    # Compilation (iterative, bottom-up over the fused unit tree)
-    # ------------------------------------------------------------------
-    def _compile(self, plan: Plan) -> _Unit:
-        # Unit lookups go through ``peek``: reusing compiled code is not
-        # result-cache traffic, so it must not skew hit/miss counters.
-        # Each node's ``plan_key`` is taken once, when the node is first
-        # scheduled, and travels with it: to the second visit, to the
-        # parent (which finds its child units by it) and into the
-        # lowering function that stamps it on the unit.
-        units = self._units
-        peek = units.peek
-        unit_children = self._unit_children
-        key = plan_key(plan)
-        cached = peek(key)
-        if cached is not None:
-            return cached
-        # One walk fills the footprint memo of every node; the per-node
-        # reads below are then dict hits instead of a walk each.
-        dependencies(plan)
-        work: list[tuple[Plan, tuple, tuple[tuple, ...] | None]] = [
-            (plan, key, None)
-        ]
-        pop = work.pop
-        push = work.append
-        while work:
-            node, node_key, kid_keys = pop()
-            if peek(node_key) is not None:
-                continue
-            if kid_keys is None:
-                kids = unit_children(node)
-                kid_keys = tuple(map(plan_key, kids))
-                if kids:
-                    # Revisit once the children are built (a scan has
-                    # none and is built on this first visit).
-                    push((node, node_key, kid_keys))
-                    for i in range(len(kids) - 1, -1, -1):
-                        push((kids[i], kid_keys[i], None))
-                    continue
-            unit = self._build_unit(node, node_key, tuple(map(peek, kid_keys)))
-            unit.deps = dependencies(node)
-            units.put(node_key, unit, unit.deps)
-        return peek(key)
-
-    #: Child plan nodes the unit rooted at a node consumes — which nodes
-    #: get units at all is this choice, made before any is built.
-    _unit_children = staticmethod(_unit_children)
-
-    def _build_unit(
-        self, node: Plan, key: tuple, children: tuple[_Unit, ...]
-    ) -> _Unit:
-        if isinstance(node, Scan):
-            return self._compile_scan(node, key)
-        if isinstance(node, Join):
-            return _compile_join(node, key, children)
-        if isinstance(node, Semijoin):
-            return _compile_semijoin(node, key, children)
-        if isinstance(node, Project):
-            child = node.child
-            if isinstance(child, Join):
-                return _compile_project_join(node, key, children)
-            if isinstance(child, Semijoin):
-                return _compile_project_semijoin(node, key, children)
-            return _compile_project(node, key, children)
-        raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
-
-    def _scan_source(self, scan: Scan):
-        """``(fetch, columns)`` of a scan: ``fetch()`` is the scanned
-        relation as the catalog holds it at the time of the call,
-        ``columns`` the schema it has now — recorded, so that
-        :meth:`_sync_catalog` evicts the units lowered against it when
-        it changes."""
-        fetch = partial(self._database.get, scan.relation)
-        columns = self._schemas[scan.relation] = fetch().columns
-        return fetch, columns
-
-    def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
-        fetch, columns = self._scan_source(scan)
-        first_position, equalities, out_positions = _scan_layout(scan, len(columns))
-        header = scan.columns
-        arity = len(header)
-        constants = list(scan.constants)
-
-        if not constants and not equalities:
-            # Zero-copy: the scan is a pure rename of the base relation;
-            # its output *is* the base row set.
-            def run_identity(stats: ExecutionStats) -> Rows:
-                rows = fetch().rows
-                stats.scans += 1
-                stats.record_output(len(rows), arity, built=False)
-                return rows
-
-            unit = _Unit(fn=run_identity, children=(), key=key, header=header)
-            return _zero_copy(unit, fetch, columns, first_position)
-
-        getter = _tuple_extractor(out_positions)
-
-        def run_scan(stats: ExecutionStats) -> Rows:
-            out: set[Row] = set()
-            add = out.add
-            for row in fetch().rows:
-                for position, value in constants:
-                    if row[position] != value:
-                        break
-                else:
-                    for i, j in equalities:
-                        if row[i] != row[j]:
-                            break
-                    else:
-                        add(getter(row))
-            stats.scans += 1
-            stats.record_output(len(out), arity)
-            return out
-
-        return _Unit(fn=run_scan, children=(), key=key, header=header)
-
-
-def _zero_copy(
-    unit: _Unit,
-    fetch: Callable[[], Relation],
-    columns: tuple[str, ...],
-    first_position: dict[str, int],
-) -> _Unit:
-    """Mark ``unit`` as a zero-copy scan of the relation ``fetch()``
-    returns (see :class:`_Unit`)."""
-    unit.source = fetch
-    unit.source_columns = {
-        variable: columns[position]
-        for variable, position in first_position.items()
-    }
-    unit.source_positions = dict(first_position)
-    return unit
 
 
 def _scan_layout(scan: Scan, arity: int):
@@ -646,141 +265,6 @@ def _join_layout(left_cols: tuple[str, ...], right_cols: tuple[str, ...]):
     return shared, left_key, right_key, right_extra
 
 
-def _compile_join(node: Join, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
-    left_cols = node.left.columns
-    right_cols = node.right.columns
-    shared, left_key, right_key, right_extra = _join_layout(left_cols, right_cols)
-    header = node.columns
-    arity = len(header)
-
-    if not shared:
-
-        def run_cross(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-            out = {lrow + rrow for lrow in lrows for rrow in rrows}
-            cardinality = len(out)
-            stats.record_join(len(lrows), len(rrows), cardinality)
-            stats.record_output(cardinality, arity)
-            return out
-
-        return _Unit(fn=run_cross, children=children, key=key, header=header)
-
-    lkey = _key_extractor(left_key)
-    rkey = _key_extractor(right_key)
-
-    if not right_extra:
-        # Semijoin-shaped join: the right operand contributes keys only,
-        # so the output is the left rows with at least one match.
-        def run_filter_join(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-            keys = set(map(rkey, rrows))
-            out = {row for row in lrows if lkey(row) in keys}
-            cardinality = len(out)
-            stats.record_join(len(lrows), len(rrows), cardinality)
-            stats.record_output(cardinality, arity)
-            return out
-
-        return _Unit(fn=run_filter_join, children=children, key=key, header=header)
-
-    rext = _tuple_extractor(right_extra)
-
-    def run_join(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-        ln, rn = len(lrows), len(rrows)
-        out: set[Row] = set()
-        add = out.add
-        if ln <= rn:
-            # Build on the left: key -> rows, probe with the right.
-            index: dict[Any, list[Row]] = {}
-            setdefault = index.setdefault
-            for lrow in lrows:
-                setdefault(lkey(lrow), []).append(lrow)
-            get = index.get
-            for rrow in rrows:
-                matches = get(rkey(rrow))
-                if matches:
-                    extra = rext(rrow)
-                    for match in matches:
-                        add(match + extra)
-        else:
-            # Build on the right: key -> distinct extras, probe with the
-            # left (dedup at build time keeps the emit loop minimal).
-            extras_index: dict[Any, set[Row]] = {}
-            for rrow in rrows:
-                k = rkey(rrow)
-                bucket = extras_index.get(k)
-                if bucket is None:
-                    extras_index[k] = bucket = set()
-                bucket.add(rext(rrow))
-            get = extras_index.get
-            for lrow in lrows:
-                extras = get(lkey(lrow))
-                if extras:
-                    for extra in extras:
-                        add(lrow + extra)
-        cardinality = len(out)
-        stats.record_join(ln, rn, cardinality)
-        stats.record_output(cardinality, arity)
-        return out
-
-    return _Unit(fn=run_join, children=children, key=key, header=header)
-
-
-def _semijoin_key_lookup(
-    right_unit: _Unit, shared: tuple[str, ...], right_key: list[int]
-):
-    """How a semijoin-shaped probe obtains its membership structure.
-
-    For a zero-copy scan the base relation's memoized ``_key_index``
-    (a dict keyed exactly like our probe keys) is reused — built once per
-    base relation, shared across occurrences, executions, and engines,
-    and looked up again only when the scan hands over a new row set.
-    Otherwise a plain key set is built from the right rows each run.
-    """
-    fetch = right_unit.source
-    if fetch is not None:
-        base_key_cols = tuple(right_unit.source_columns[name] for name in shared)
-        return _cell(lambda rrows: fetch()._key_index(base_key_cols))
-
-    rkey = _key_extractor(right_key)
-
-    def lookup(rrows: Rows):
-        return set(map(rkey, rrows))
-
-    return lookup
-
-
-def _compile_semijoin(node: Semijoin, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
-    left_cols = node.left.columns
-    right_cols = node.right.columns
-    shared, left_key, right_key, _ = _join_layout(left_cols, right_cols)
-    header = node.columns
-    arity = len(header)
-
-    if not shared:
-        # Degenerate nonemptiness filter, mirroring Relation.semijoin.
-        def run_degenerate(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-            out: Rows = lrows if rrows else frozenset()
-            stats.semijoins += 1
-            stats.record_output(len(out), arity, built=False)
-            return out
-
-        return _Unit(fn=run_degenerate, children=children, key=key, header=header)
-
-    lkey = _key_extractor(left_key)
-    lookup = _semijoin_key_lookup(children[1], shared, right_key)
-
-    def run_semijoin(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-        keys = lookup(rrows)
-        out: Rows = {row for row in lrows if lkey(row) in keys}
-        built = True
-        if len(out) == len(lrows):
-            out = lrows  # nothing filtered: reuse the input set
-            built = False
-        stats.semijoins += 1
-        stats.record_output(len(out), arity, built=built)
-        return out
-
-    return _Unit(fn=run_semijoin, children=children, key=key, header=header)
-
-
 def _project_spec(
     columns: tuple[str, ...],
     left_cols: tuple[str, ...],
@@ -798,254 +282,18 @@ def _project_spec(
     return spec
 
 
-def _compile_project_join(
-    node: Project, key: tuple, children: tuple[_Unit, ...]
-) -> _Unit:
-    join = node.child
-    assert isinstance(join, Join)
-    left_cols = join.left.columns
-    right_cols = join.right.columns
-    shared, left_key, right_key, right_extra = _join_layout(left_cols, right_cols)
-    shared_set = set(shared)
-    extra_cols = tuple(name for name in right_cols if name not in shared_set)
-    wide_arity = len(join.columns)
-    header = node.columns
-    out_arity = len(header)
-
-    spec = _project_spec(header, left_cols, extra_cols)
-    left_only = all(side == "l" for side, _ in spec)
-    left_positions = [index for _, index in spec]
-
-    def finish(
-        stats: ExecutionStats, ln: int, rn: int, wide: int, out_card: int
-    ) -> None:
-        # The two fused nodes' stats, in the interpreter's post-order:
-        # the (never-materialized) wide join output, then the projection.
-        stats.record_join(ln, rn, wide)
-        stats.record_output(wide, wide_arity, built=False)
-        stats.projections += 1
-        stats.record_output(out_card, out_arity)
-
-    if not shared:
-        # Cross product under a projection: every (left, right) pair is a
-        # distinct wide tuple, so the wide cardinality is ln * rn.
-        if left_only:
-            eml = _tuple_extractor(left_positions)
-
-            def run_cross_left(
-                stats: ExecutionStats, lrows: Rows, rrows: Rows
-            ) -> Rows:
-                ln, rn = len(lrows), len(rrows)
-                out = frozenset(map(eml, lrows)) if rn else frozenset()
-                finish(stats, ln, rn, ln * rn, len(out))
-                return out
-
-            return _Unit(
-                fn=run_cross_left, children=children, key=key, header=header
-            )
-
-        emit = _pair_emitter(spec)
-
-        def run_cross(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-            ln, rn = len(lrows), len(rrows)
-            out: set[Row] = set()
-            add = out.add
-            for lrow in lrows:
-                for rrow in rrows:
-                    add(emit(lrow, rrow))
-            finish(stats, ln, rn, ln * rn, len(out))
-            return out
-
-        return _Unit(fn=run_cross, children=children, key=key, header=header)
-
-    lkey = _key_extractor(left_key)
-
-    if not right_extra:
-        # Semijoin-shaped join under a projection: one wide tuple per
-        # matching left row; project while filtering.
-        eml = _tuple_extractor(left_positions)
-        lookup = _semijoin_key_lookup(children[1], shared, right_key)
-
-        def run_filter_project(
-            stats: ExecutionStats, lrows: Rows, rrows: Rows
-        ) -> Rows:
-            keys = lookup(rrows)
-            wide = 0
-            out: set[Row] = set()
-            add = out.add
-            for lrow in lrows:
-                if lkey(lrow) in keys:
-                    wide += 1
-                    add(eml(lrow))
-            finish(stats, len(lrows), len(rrows), wide, len(out))
-            return out
-
-        return _Unit(
-            fn=run_filter_project, children=children, key=key, header=header
-        )
-
-    rkey = _key_extractor(right_key)
-    rext = _tuple_extractor(right_extra)
-
-    if left_only:
-        # The projection keeps no right-hand column: one output row per
-        # matching left row, while the bucket sizes count the wide result.
-        eml = _tuple_extractor(left_positions)
-
-        def run_project_join_left(
-            stats: ExecutionStats, lrows: Rows, rrows: Rows
-        ) -> Rows:
-            extras_index: dict[Any, set[Row]] = {}
-            for rrow in rrows:
-                k = rkey(rrow)
-                bucket = extras_index.get(k)
-                if bucket is None:
-                    extras_index[k] = bucket = set()
-                bucket.add(rext(rrow))
-            wide = 0
-            out: set[Row] = set()
-            add = out.add
-            get = extras_index.get
-            for lrow in lrows:
-                bucket = get(lkey(lrow))
-                if bucket:
-                    wide += len(bucket)
-                    add(eml(lrow))
-            finish(stats, len(lrows), len(rrows), wide, len(out))
-            return out
-
-        return _Unit(
-            fn=run_project_join_left, children=children, key=key, header=header
-        )
-
-    emit = _pair_emitter(spec)
-
-    def run_project_join(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-        # Wide tuples are (left_row, extra) pairs; left rows are distinct
-        # and bucket extras are deduped, so summing bucket sizes over
-        # matching probe rows counts the wide output exactly — without
-        # ever allocating a wide tuple.
-        extras_index: dict[Any, set[Row]] = {}
-        for rrow in rrows:
-            k = rkey(rrow)
-            bucket = extras_index.get(k)
-            if bucket is None:
-                extras_index[k] = bucket = set()
-            bucket.add(rext(rrow))
-        wide = 0
-        out: set[Row] = set()
-        add = out.add
-        get = extras_index.get
-        for lrow in lrows:
-            bucket = get(lkey(lrow))
-            if bucket:
-                wide += len(bucket)
-                for extra in bucket:
-                    add(emit(lrow, extra))
-        finish(stats, len(lrows), len(rrows), wide, len(out))
-        return out
-
-    return _Unit(fn=run_project_join, children=children, key=key, header=header)
-
-
-def _compile_project_semijoin(
-    node: Project, key: tuple, children: tuple[_Unit, ...]
-) -> _Unit:
-    semi = node.child
-    assert isinstance(semi, Semijoin)
-    left_cols = semi.left.columns
-    right_cols = semi.right.columns
-    shared, left_key, right_key, _ = _join_layout(left_cols, right_cols)
-    semi_arity = len(semi.columns)
-    header = node.columns
-    out_arity = len(header)
-    positions = [left_cols.index(name) for name in header]
-    eml = _tuple_extractor(positions)
-
-    def finish(
-        stats: ExecutionStats, matched: int, out_card: int
-    ) -> None:
-        stats.semijoins += 1
-        stats.record_output(matched, semi_arity, built=False)
-        stats.projections += 1
-        stats.record_output(out_card, out_arity)
-
-    if not shared:
-
-        def run_degenerate(stats: ExecutionStats, lrows: Rows, rrows: Rows) -> Rows:
-            if rrows:
-                matched = len(lrows)
-                out: Rows = frozenset(map(eml, lrows))
-            else:
-                matched = 0
-                out = frozenset()
-            finish(stats, matched, len(out))
-            return out
-
-        return _Unit(fn=run_degenerate, children=children, key=key, header=header)
-
-    lkey = _key_extractor(left_key)
-    lookup = _semijoin_key_lookup(children[1], shared, right_key)
-
-    def run_project_semijoin(
-        stats: ExecutionStats, lrows: Rows, rrows: Rows
-    ) -> Rows:
-        keys = lookup(rrows)
-        matched = 0
-        out: set[Row] = set()
-        add = out.add
-        for lrow in lrows:
-            if lkey(lrow) in keys:
-                matched += 1
-                add(eml(lrow))
-        finish(stats, matched, len(out))
-        return out
-
-    return _Unit(
-        fn=run_project_semijoin, children=children, key=key, header=header
-    )
-
-
-def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> _Unit:
-    child_cols = node.child.columns
-    header = node.columns
-    arity = len(header)
-    positions = [child_cols.index(name) for name in header]
-
-    if positions == list(range(len(child_cols))):
-        # Identity projection: the child's rows are already the answer.
-        def run_identity(stats: ExecutionStats, crows: Rows) -> Rows:
-            stats.projections += 1
-            stats.record_output(len(crows), arity, built=False)
-            return crows
-
-        return _Unit(fn=run_identity, children=children, key=key, header=header)
-
-    getter = _tuple_extractor(positions)
-
-    def run_project(stats: ExecutionStats, crows: Rows) -> Rows:
-        out = frozenset(map(getter, crows))
-        stats.projections += 1
-        stats.record_output(len(out), arity)
-        return out
-
-    return _Unit(fn=run_project, children=children, key=key, header=header)
-
-
 # ----------------------------------------------------------------------
-# Vectorized (columnar) lowering
+# Batches and kernels
 # ----------------------------------------------------------------------
-# The vectorized backend reuses the whole compiled infrastructure — the
-# fusion grouping, the CSE cache, the execution drivers — but its unit
-# payloads are *batches* over the global dictionary codes of
+# Unit payloads are *batches* over the global dictionary codes of
 # :mod:`repro.relalg.columnar`, never sets of decoded rows.  A batch is
 # ``(nrows, payload)`` with two physical payload forms:
 #
 # - **row form** — a plain ``list`` of code tuples.  This is the
 #   small-batch representation (and the only one without numpy): its
-#   kernels mirror the compiled engine's hash-join closures, minus the
-#   per-output-row set hashing that the distinctness invariant (below)
-#   makes unnecessary.
+#   kernels are hash-join loops over dicts and sets, without per-output-
+#   row set hashing, which the distinctness invariant (below) makes
+#   unnecessary.
 # - **array form** — a ``tuple`` of ``int64`` numpy arrays, one per
 #   column.  Its kernels are whole-array operations: a k-column key is
 #   the codes bit-packed into one ``int64`` while the interning pool fits
@@ -1090,7 +338,7 @@ def _compile_project(node: Project, key: tuple, children: tuple[_Unit, ...]) -> 
 # each output equal to its batch length, so the stats calls below
 # reproduce the interpreter's counters exactly.
 
-#: numpy as the last vectorized lowering found it (``None`` without it,
+#: numpy as the last lowering found it (``None`` without it,
 #: and before any): set by :func:`_sync_numpy`, so the process imports
 #: numpy only once it lowers a plan that could take an array path.
 _np: Any = None
@@ -1698,11 +946,19 @@ def _vcompile_project_join(
             fn = _vpj_cross_left(positions, sizes[0], finish)
         elif not right_extra:
             fn = _vpj_filter(
-                children[1], shared, left_key, right_key, positions, *sizes, finish
+                _plain_source(join.left, children[0]), children[1],
+                shared, left_key, right_key, positions, *sizes, finish,
             )
         else:
             fn = _vpj_left(children, left_key, right_key, positions, *sizes, finish)
     return _Unit(fn=fn, children=children, key=key, header=header)
+
+
+def _plain_source(node: Plan, unit: _Unit):
+    """``unit.source`` when ``unit`` is a plain zero-copy scan of
+    ``node`` — its batch the base store itself, row for row — else
+    ``None`` (a folded projection keeps ``source`` but not the rows)."""
+    return unit.source if isinstance(node, Scan) else None
 
 
 def _vpj_cross_left(positions, larity, finish):
@@ -1795,21 +1051,34 @@ def _vpj_cross_np(lproj, eproj, ordinals, larity, rarity, finish):
     return run_np
 
 
-def _vpj_filter(runit, shared, left_key, right_key, positions, larity, rarity, finish):
+def _vpj_filter(
+    lsource, runit, shared, left_key, right_key, positions, larity, rarity, finish
+):
     """Semijoin-shaped join under a projection: filter and project in
-    one pass, deduplicating only the surviving projected rows."""
+    one pass, deduplicating only the surviving projected rows.
+    ``lsource`` is the left side's ``source`` when that side is a plain
+    zero-copy scan (its batch is the base store), else ``None``."""
     lkey = _key_extractor(left_key)
     eml = _tuple_extractor(positions)
     lookup = _vsemijoin_lookup(runit, shared, right_key)
     arrays = _array_path(
         _vpj_filter_np, runit, left_key, right_key, positions, larity, rarity, finish
     )
+    probe = None
+    if arrays is not None and lsource is not None and len(left_key) == 1:
+        probe = partial(
+            _vpj_probe, lsource, left_key[0], right_key[0], positions, finish
+        )
 
     def run_filter_project(
         stats: ExecutionStats, lbatch: Batch, rbatch: Batch
     ) -> Batch:
         ln, rn = lbatch[0], rbatch[0]
         if arrays is not None and (ln >= _ARRAY_MIN or rn >= _ARRAY_MIN):
+            if probe is not None and rn and rn * 8 < ln:
+                out = probe(stats, ln, rbatch)
+                if out is not None:
+                    return out
             return arrays(stats, lbatch, rbatch)
         wide = 0
         cand: dict = {}
@@ -1824,6 +1093,39 @@ def _vpj_filter(runit, shared, left_key, right_key, positions, larity, rarity, f
         return len(out_rows), out_rows
 
     return run_filter_project
+
+
+def _vpj_probe(lsource, lpos, rpos, positions, finish, stats, ln, rbatch):
+    """Few-match path of :func:`_vpj_filter` over a large zero-copy left
+    scan and a small right side (an anchored statement's ``__param``
+    row, say): look the right side's *distinct* keys up in the left
+    relation's memoized sorted column (:meth:`ColumnStore.sorted_index`)
+    and emit the matching rows from its code lists, instead of probing
+    every left row.  Returns ``None`` when at least a sixteenth of the
+    left rows match, and the array kernel runs instead.  The keys are
+    deduplicated because the number of matching left rows is the
+    logical cardinality of the fused join or semijoin, and a right side
+    with extra columns can repeat a key."""
+    rn, payload = rbatch
+    if type(payload) is list:
+        keys = _np.fromiter({row[rpos] for row in payload}, _np.int64)
+    else:
+        keys = _np.unique(payload[rpos])
+    store = lsource().columnar()
+    order, codes = store.sorted_index(lpos)
+    lo = codes.searchsorted(keys, "left").tolist()
+    hi = codes.searchsorted(keys, "right").tolist()
+    wide = sum(hi) - sum(lo)
+    if wide * 16 >= ln:
+        return None
+    if positions:
+        ids = [i for a, b in zip(lo, hi) if a < b for i in order[a:b].tolist()]
+        cols = [store.codes[p] for p in positions]
+        rows = list(dict.fromkeys(zip(*[[col[i] for i in ids] for col in cols])))
+    else:
+        rows = [()] if wide else []
+    finish(stats, ln, rn, wide, len(rows))
+    return len(rows), rows
 
 
 def _vpj_filter_np(runit, left_key, right_key, positions, larity, rarity, finish):
@@ -2054,7 +1356,8 @@ def _vcompile_project_semijoin(
     finish = _fused_finish(False, len(semi.columns), len(header))
     if shared:
         fn = _vpj_filter(
-            children[1], shared, left_key, right_key, positions,
+            _plain_source(semi.left, children[0]), children[1],
+            shared, left_key, right_key, positions,
             len(left_cols), len(right_cols), finish,
         )
     else:
@@ -2148,7 +1451,7 @@ def _vproject_np(positions, carity, arity):
 def _fold_scan(base: Relation) -> tuple:
     """:attr:`_Unit.bound` record of a zero-copy scan of ``base``: the
     batch is the base store's columns (no selection, and the scan's
-    columns are the base's in order, as in the row engine) — its int64
+    columns are the base's in order) — its int64
     arrays from the array threshold up, its row form below it, both
     memoized on the store, so every zero-copy scan of one relation
     shares one payload."""
@@ -2206,7 +1509,7 @@ def _fold_selection(constants, equalities, out_positions, base: Relation) -> tup
 
 
 class _scan_cell(_cell):
-    """The :attr:`_Unit.bound` cell of a vectorized scan unit, whose
+    """The :attr:`_Unit.bound` cell of a scan unit, whose
     ``run`` is the unit's ``fn``.  ``trace`` — the arities of the scan
     and, for a folded projection, of the projection over it — is the
     static part of its stats; the batch and the data-dependent part come
@@ -2285,7 +1588,7 @@ def _vcompile_project_scan(
 
 
 # ----------------------------------------------------------------------
-# Chain pipeline fusion (vectorized)
+# Chain pipeline fusion
 # ----------------------------------------------------------------------
 #: Longest fused chain; deeper chains break into several pipeline units,
 #: keeping generated nesting (and code size) bounded on the thousands-of-
@@ -2302,7 +1605,7 @@ _STAGE_NAMES = tuple((f"_r{i}", f"_p{i}") for i in range(1, _PIPE_MAX + 1))
 
 
 def _is_scan_unit(node: Plan) -> bool:
-    """Whether the vectorized lowering makes ``node`` a scan unit: a
+    """Whether the lowering makes ``node`` a scan unit: a
     scan, or a projection folded onto one."""
     return isinstance(node, Scan) or (
         isinstance(node, Project) and isinstance(node.child, Scan)
@@ -2360,11 +1663,10 @@ def _pipe_finish(stages: list[_PipeStage], project_arity: int | None):
     right subtree's own events, then its operator's — from the
     per-stage match counts, so every logical counter and the arity trace
     stay byte-identical to the other engines.  Interior stages record
-    ``built=False``: the chain never materializes them, which is the one
-    sanctioned downward deviation of ``rows_built`` from the row-compiled
-    engine.  The final stage keeps the row engine's flags (materialized,
-    except a semijoin that filtered nothing) unless a projection tops the
-    chain, in which case the chain output is a fused-away wide result.
+    ``built=False``: the chain never materializes them.  The final stage
+    keeps the standalone kernels' flags (materialized, except a semijoin
+    that filtered nothing) unless a projection tops the chain, in which
+    case the chain output is a fused-away wide result.
 
     The absorbed right sides are scan units: the shape of their stats
     (event counts, arities) is static and folded in here, the sizes come
@@ -2706,22 +2008,58 @@ def _vcompile_pipeline(node: Plan, key: tuple, children: tuple[_Unit, ...]) -> _
     )
 
 
-class VectorizedEngine(CompiledEngine):
-    """Compiled backend whose units operate on dictionary-encoded column
-    batches instead of row sets.
+def _unit_children(node: Plan) -> tuple[Plan, ...]:
+    """Child *plan* nodes of the fused unit rooted at ``node`` — the
+    places where a materialized input is required.  A scan unit has
+    none; a pipeline's are its chain's source and its stages' right
+    sides, and the chain's interior nodes get no unit.  Which nodes get
+    units at all is this choice, made before any is built."""
+    if _is_scan_unit(node):
+        return ()
+    chain = _chain(node)
+    if chain is not None:
+        return (chain[-1].left,) + tuple(link.right for link in reversed(chain))
+    if isinstance(node, Project):
+        child = node.child
+        if isinstance(child, (Join, Semijoin)):
+            return (child.left, child.right)
+        return (child,)
+    if isinstance(node, (Join, Semijoin)):
+        return (node.left, node.right)
+    raise PlanError(f"unknown plan node {node!r}")
 
-    The common-subexpression cache and its driver are inherited from
-    :class:`CompiledEngine` (the cached driver is payload-agnostic); the
-    uncached driver is a flattened-program interpreter, fusion goes
-    further (scan folding, chain pipelines — decided from the plan before
-    any unit is built), and the kernels differ.  Scans read the base
+
+class VectorizedEngine:
+    """Drop-in alternative to :class:`~repro.relalg.engine.Engine` that
+    compiles each plan once into fused units over dictionary-encoded
+    column batches and executes their kernels.  :func:`make_engine`
+    serves it under both names, ``compiled`` and ``vectorized``.
+
+    Parameters
+    ----------
+    database:
+        Catalog of base relations.  Scans read their relation from it at
+        run time, so a write invalidates only the cached *results* whose
+        dependency footprint (:func:`repro.plans.dependencies`) includes
+        the written relation; compiled units survive every write that
+        keeps their relations' columns.
+    plan_cache_size:
+        Capacity of the common-subexpression result cache, with the same
+        semantics as the interpreted engine's (LRU on
+        ``(plan_key, dependency-version-vector)``, selective eviction on
+        version change, logical stats replayed from per-entry snapshots
+        on hits).  Pass ``0`` to disable result caching; compiled *code*
+        is always reused until one of its base relations is dropped or
+        changes columns.
+
+    The join strategy is always hash-based (the paper's forced choice);
+    there is no ``join_algorithm`` parameter.  Scans read the base
     relation's memoized :meth:`Relation.columnar` store — dictionary
     encoding happens once per base relation, and constant/equality
     selections are folded into a batch once per version of it, which
     join and semijoin parents exploit by keeping their probe structures
     for as long as that batch lives.  The logical :class:`ExecutionStats`
-    counters are byte-identical to both other engines; ``rows_built`` is
-    never above the compiled engine's (pipelines skip materializations).
+    counters are byte-identical to the interpreter's.
 
     Examples
     --------
@@ -2738,42 +2076,75 @@ class VectorizedEngine(CompiledEngine):
         database: Database,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
     ) -> None:
-        super().__init__(database, plan_cache_size)
+        if plan_cache_size < 0:
+            raise ValueError(f"plan_cache_size must be >= 0, got {plan_cache_size}")
+        self._database = database
+        self._cache_size = plan_cache_size
+        self._cache = DependencyCache(plan_cache_size)
+        # Unbounded: compiled code is cheap to retain and is evicted
+        # precisely when one of its base relations leaves the catalog or
+        # changes columns (``_schemas``: what each was lowered against).
+        self._units = DependencyCache(None)
+        self._schemas: dict[str, tuple[str, ...]] = {}
+        self._tracker = CatalogVersionTracker(database)
         self._pool_epoch = pool_epoch()
         #: Relation name -> the one cell every zero-copy scan unit of it
         #: shares (same batch, same events).
         self._zero_copy: dict[str, _scan_cell] = {}
 
-    def _sync_catalog(self) -> None:
-        """As inherited, after dropping both stores wholesale if the
-        columnar interning pool epoch moved
-        (:func:`repro.relalg.columnar.clear_interning`): this engine's
-        cached batches and the cells of its units are made of dictionary
-        codes, which the relation objects they are keyed on do not show
-        going stale.  (The row engine holds no codes and keeps both.)
-        A shared zero-copy scan cell goes with the units of its
-        relation."""
-        if self._pool_epoch != pool_epoch():
-            self._units.clear()
-            self._cache.clear()
-            self._zero_copy.clear()
-            self._pool_epoch = pool_epoch()
-        lowered = len(self._schemas)
-        super()._sync_catalog()
-        if len(self._schemas) < lowered:  # relations dropped or reshaped
-            schemas = self._schemas
-            self._zero_copy = {
-                name: cell for name, cell in self._zero_copy.items() if name in schemas
-            }
+    @property
+    def database(self) -> Database:
+        """The catalog this engine evaluates against."""
+        return self._database
+
+    @property
+    def plan_cache_enabled(self) -> bool:
+        """Whether the common-subexpression result cache is active."""
+        return self._cache_size > 0
+
+    def clear_plan_cache(self) -> None:
+        """Drop every cached result (compiled code is kept)."""
+        self._cache.clear()
+
+    def clear_compiled(self) -> None:
+        """Drop every compiled unit (and, since cached batches were
+        produced by them, every cached result too)."""
+        self._units.clear()
+        self._cache.clear()
+
+    def cache_info(self) -> CacheInfo:
+        """Cumulative result-cache traffic and current retention:
+        ``hits``, ``misses``, ``evictions``, ``entries``, ``capacity``
+        (the configured bound — this is the field's name, per
+        docs/API.md), and ``units``, the number of retained compiled
+        units."""
+        cache = self._cache
+        return CacheInfo(
+            hits=cache.hits,
+            misses=cache.misses,
+            evictions=cache.evictions,
+            entries=len(cache),
+            capacity=self._cache_size,
+            units=len(self._units),
+        )
+
+    def clear_cache(self) -> None:
+        """Drop every cached result and compiled unit; zero the traffic
+        counters."""
+        self._units.reset()
+        self._cache.reset()
 
     def execute(self, plan: Plan, stats: ExecutionStats | None = None) -> Relation:
-        """Compile (or reuse) and evaluate ``plan`` over column batches."""
+        """Compile (or reuse) and evaluate ``plan``.
+
+        If ``stats`` is provided, work counters are accumulated into it.
+        """
         stats = stats if stats is not None else ExecutionStats()
         self._sync_catalog()
         unit = self._compile(plan)
-        batch = self._run(unit, stats)
         if not self._cache_size:
-            return _decode_batch(unit.header, batch)
+            return _decode_batch(unit.header, self._run_uncached(unit, stats))
+        batch = self._run_cached(unit, stats)
         # The root's entry keeps the decoded answer beside its batch
         # (parents still read the batch), so a warm repeat returns
         # without decoding again.
@@ -2785,52 +2156,58 @@ class VectorizedEngine(CompiledEngine):
         self._cache.replace_value(key, (batch, entry[1], result))
         return result
 
-    def _compile(self, plan: Plan) -> _Unit:
-        # Lowering is what asks for numpy: every row/array decision the
-        # units and their kernels make reads the answer it leaves.
-        _sync_numpy()
-        return super()._compile(plan)
+    def execute_with_stats(self, plan: Plan) -> tuple[Relation, ExecutionStats]:
+        """Evaluate ``plan``; return both the result and fresh stats."""
+        stats = ExecutionStats()
+        result = self.execute(plan, stats=stats)
+        return result, stats
 
-    def _unit_children(self, node: Plan) -> tuple[Plan, ...]:
-        """As the row lowering's, except that a scan unit has none and a
-        pipeline's are its chain's source and stages' right sides: the
-        chain's interior nodes get no unit."""
-        if _is_scan_unit(node):
-            return ()
-        chain = _chain(node)
-        if chain is not None:
-            return (chain[-1].left,) + tuple(link.right for link in reversed(chain))
-        return _unit_children(node)
+    # ------------------------------------------------------------------
+    # Catalog sync and execution drivers (iterative)
+    # ------------------------------------------------------------------
+    def _sync_catalog(self) -> None:
+        """Bring both stores up to the catalog's current state.
 
-    def _build_unit(
-        self, node: Plan, key: tuple, children: tuple[_Unit, ...]
-    ) -> _Unit:
-        if isinstance(node, Scan):
-            return self._compile_scan(node, key)
-        if len(children) > 2:  # a source and two or more stages
-            return _vcompile_pipeline(node, key, children)
-        if isinstance(node, Join):
-            return _vcompile_join(node, key, children)
-        if isinstance(node, Semijoin):
-            return _vcompile_semijoin(node, key, children)
-        if isinstance(node, Project):
-            child = node.child
-            if isinstance(child, Join):
-                return _vcompile_project_join(node, key, children)
-            if isinstance(child, Semijoin):
-                return _vcompile_project_semijoin(node, key, children)
-            if isinstance(child, Scan):
-                scan_unit = self._compile_scan(child, key)
-                return _vcompile_project_scan(node, key, scan_unit)
-            return _vcompile_project(node, key, children)
-        raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
+        What is kept per what: a *unit* is per plan shape and base
+        schema, so it goes only when a relation of its footprint has
+        left the catalog or has other columns than the ones it was
+        lowered against (and a shared zero-copy scan cell goes with the
+        units of its relation); a cached *result* is per input version,
+        so it goes whenever a relation of its footprint was written.
+        What a surviving unit derived from the old rows sits in cells
+        keyed on the object it was derived from and is rebuilt by the
+        first execution that meets the new one.  Cached batches and
+        cells are made of dictionary codes, which those objects do not
+        show going stale, so both stores go wholesale when the interning
+        pool epoch moved (:func:`repro.relalg.columnar.clear_interning`).
+        """
+        if self._pool_epoch != pool_epoch():
+            self._units.clear()
+            self._cache.clear()
+            self._zero_copy.clear()
+            self._pool_epoch = pool_epoch()
+        changed = self._tracker.changed_relations()
+        if not changed:
+            return
+        self._cache.evict_dependents(changed)
+        database, schemas = self._database, self._schemas
+        reshaped = [
+            name
+            for name in changed
+            if name in schemas
+            and (name not in database or database.get(name).columns != schemas[name])
+        ]
+        if reshaped:
+            self._units.evict_dependents(reshaped)
+            for name in reshaped:
+                del schemas[name]
+                self._zero_copy.pop(name, None)
 
-    def _run_uncached(self, unit: _Unit, stats: ExecutionStats):
+    def _run_uncached(self, unit: _Unit, stats: ExecutionStats) -> Batch:
         # Flatten the unit tree into a post-order (fn, nargs) program
         # once per compiled unit, then drive it with a value stack: the
-        # steady-state per-node cost is one indexed loop step instead of
-        # the inherited driver's two stack visits per node.  Iterative
-        # on both passes, so arbitrarily deep plans stay safe.
+        # steady-state per-node cost is one indexed loop step.
+        # Iterative on both passes, so arbitrarily deep plans stay safe.
         program = unit.program
         if program is None:
             program = []
@@ -2857,8 +2234,129 @@ class VectorizedEngine(CompiledEngine):
                 append(fn(stats))
         return values[0]
 
+    def _run_cached(self, unit: _Unit, stats: ExecutionStats) -> Batch:
+        # Same structure (and cache semantics) as Engine._eval_cached:
+        # the lookup happens before a unit's children are scheduled, so a
+        # hit skips the whole subtree; a miss evaluates into a fresh
+        # subtree accumulator whose logical counters become the entry's
+        # replay snapshot.
+        root: list[Batch] = []
+        stack: list[
+            tuple[
+                _Unit,
+                list[Batch],
+                ExecutionStats,
+                tuple[tuple, ExecutionStats, list[Batch]] | None,
+            ]
+        ] = [(unit, root, stats, None)]
+        cache = self._cache
+        tracker = self._tracker
+        while stack:
+            u, dest, sink, pending = stack.pop()
+            if pending is None:
+                key = (u.key, tracker.vector(u.deps))
+                entry = cache.get(key)
+                if entry is not None:
+                    # A root's entry carries its decoded answer third
+                    # (execute).
+                    batch, snapshot = entry[0], entry[1]
+                    sink.cache_hits += 1
+                    sink.merge(snapshot)
+                    dest.append(batch)
+                    continue
+                sink.cache_misses += 1
+                subtree = ExecutionStats()
+                inputs: list[Batch] = []
+                stack.append((u, dest, sink, (key, subtree, inputs)))
+                for child in reversed(u.children):
+                    stack.append((child, inputs, subtree, None))
+            else:
+                key, subtree, inputs = pending
+                batch = u.fn(subtree, *inputs)
+                sink.merge(subtree)
+                subtree.rows_built = 0
+                subtree.cache_hits = 0
+                subtree.cache_misses = 0
+                cache.put(key, (batch, subtree), u.deps)
+                dest.append(batch)
+        return root[0]
+
+    # ------------------------------------------------------------------
+    # Compilation (iterative, bottom-up over the fused unit tree)
+    # ------------------------------------------------------------------
+    def _compile(self, plan: Plan) -> _Unit:
+        # Lowering is what asks for numpy: every row/array decision the
+        # units and their kernels make reads the answer it leaves.
+        _sync_numpy()
+        # Unit lookups go through ``peek``: reusing compiled code is not
+        # result-cache traffic, so it must not skew hit/miss counters.
+        # Each node's ``plan_key`` is taken once, when the node is first
+        # scheduled, and travels with it: to the second visit, to the
+        # parent (which finds its child units by it) and into the
+        # lowering function that stamps it on the unit.
+        units = self._units
+        peek = units.peek
+        key = plan_key(plan)
+        cached = peek(key)
+        if cached is not None:
+            return cached
+        # One walk fills the footprint memo of every node; the per-node
+        # reads below are then dict hits instead of a walk each.
+        dependencies(plan)
+        work: list[tuple[Plan, tuple, tuple[tuple, ...] | None]] = [
+            (plan, key, None)
+        ]
+        pop = work.pop
+        push = work.append
+        while work:
+            node, node_key, kid_keys = pop()
+            if peek(node_key) is not None:
+                continue
+            if kid_keys is None:
+                kids = _unit_children(node)
+                kid_keys = tuple(map(plan_key, kids))
+                if kids:
+                    # Revisit once the children are built (a scan unit
+                    # has none and is built on this first visit).
+                    push((node, node_key, kid_keys))
+                    for i in range(len(kids) - 1, -1, -1):
+                        push((kids[i], kid_keys[i], None))
+                    continue
+            unit = self._build_unit(node, node_key, tuple(map(peek, kid_keys)))
+            unit.deps = dependencies(node)
+            units.put(node_key, unit, unit.deps)
+        return peek(key)
+
+    def _build_unit(
+        self, node: Plan, key: tuple, children: tuple[_Unit, ...]
+    ) -> _Unit:
+        if isinstance(node, Scan):
+            return self._compile_scan(node, key)
+        if len(children) > 2:  # a source and two or more stages
+            return _vcompile_pipeline(node, key, children)
+        if isinstance(node, Join):
+            return _vcompile_join(node, key, children)
+        if isinstance(node, Semijoin):
+            return _vcompile_semijoin(node, key, children)
+        if isinstance(node, Project):
+            child = node.child
+            if isinstance(child, Join):
+                return _vcompile_project_join(node, key, children)
+            if isinstance(child, Semijoin):
+                return _vcompile_project_semijoin(node, key, children)
+            if isinstance(child, Scan):
+                scan_unit = self._compile_scan(child, key)
+                return _vcompile_project_scan(node, key, scan_unit)
+            return _vcompile_project(node, key, children)
+        raise PlanError(f"unknown plan node {node!r}")  # pragma: no cover
+
     def _compile_scan(self, scan: Scan, key: tuple) -> _Unit:
-        fetch, columns = self._scan_source(scan)
+        # ``fetch()`` is the scanned relation as the catalog holds it at
+        # the time of the call; the schema it has now is recorded, so
+        # that _sync_catalog evicts the units lowered against it when it
+        # changes.
+        fetch = partial(self._database.get, scan.relation)
+        columns = self._schemas[scan.relation] = fetch().columns
         first_position, equalities, out_positions = _scan_layout(scan, len(columns))
         header = scan.columns
         if scan.constants or equalities:
@@ -2878,10 +2376,12 @@ class VectorizedEngine(CompiledEngine):
 # ----------------------------------------------------------------------
 # Engine registry
 # ----------------------------------------------------------------------
-#: Execution backends selectable via ``--engine``.
+#: Execution backends selectable via ``--engine``: ``compiled`` is a
+#: second name for the vectorized engine, kept for the CLI, the service
+#: protocol and the benchmark.
 ENGINES: dict[str, type] = {
     "interpreted": Engine,
-    "compiled": CompiledEngine,
+    "compiled": VectorizedEngine,
     "vectorized": VectorizedEngine,
 }
 
@@ -2892,12 +2392,21 @@ def make_engine(
     join_algorithm=None,
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
 ):
-    """Construct an execution backend by name.
+    """Construct an execution backend by name (a key of :data:`ENGINES`).
 
     ``join_algorithm`` applies to the interpreted engine only; the
-    compiled and vectorized backends always use the hash strategy, so
-    passing any other algorithm with those names raises
+    compiled engine always uses the hash strategy, so passing any other
+    algorithm with ``compiled`` or ``vectorized`` raises
     :class:`ValueError`.
+
+    Examples
+    --------
+    >>> from repro.relalg.database import edge_database
+    >>> from repro.plans import Scan, Join, Project
+    >>> plan = Project(Join(Scan("edge", ("a", "b")), Scan("edge", ("b", "c"))), ("a",))
+    >>> engine = make_engine("compiled", edge_database())
+    >>> type(engine).__name__, engine.execute(plan).cardinality
+    ('VectorizedEngine', 3)
     """
     from repro.relalg.joins import hash_join
 
@@ -2920,22 +2429,13 @@ def make_engine(
     return engine_cls(database, plan_cache_size=plan_cache_size)
 
 
-def compiled_evaluate(
-    plan: Plan,
-    database: Database,
-    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-) -> tuple[Relation, ExecutionStats]:
-    """One-shot convenience mirroring :func:`repro.relalg.engine.evaluate`."""
-    engine = CompiledEngine(database, plan_cache_size=plan_cache_size)
-    return engine.execute_with_stats(plan)
-
-
 def vectorized_evaluate(
     plan: Plan,
     database: Database,
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
 ) -> tuple[Relation, ExecutionStats]:
-    """One-shot convenience for the vectorized columnar backend."""
+    """One-shot convenience mirroring :func:`repro.relalg.engine.evaluate`
+    on the compiled engine."""
     engine = VectorizedEngine(database, plan_cache_size=plan_cache_size)
     return engine.execute_with_stats(plan)
 
@@ -2943,9 +2443,7 @@ def vectorized_evaluate(
 __all__ = [
     "ENGINES",
     "ENGINE_NAMES",
-    "CompiledEngine",
     "VectorizedEngine",
-    "compiled_evaluate",
     "make_engine",
     "vectorized_evaluate",
 ]

@@ -32,7 +32,7 @@ DEFAULT_PLAN_CACHE_SIZE = 256
 #: Names of the execution backends (the keys of
 #: :data:`repro.relalg.compiled.ENGINES`), accepted by every ``--engine``
 #: flag.  Spelled out here so that a process validating an engine name —
-#: the CLI, a pool front end — need not import the compiled backends.
+#: the CLI, a pool front end — need not import the compiled engine.
 ENGINE_NAMES: tuple[str, ...] = ("compiled", "interpreted", "vectorized")
 
 
@@ -330,10 +330,9 @@ def evaluate(
     """One-shot convenience: evaluate ``plan`` on ``database``.
 
     ``engine`` selects the execution backend: ``"interpreted"`` (this
-    module's :class:`Engine`), ``"compiled"``
-    (:class:`repro.relalg.compiled.CompiledEngine`), or ``"vectorized"``
-    (:class:`repro.relalg.compiled.VectorizedEngine`); the compiled
-    backends require the default hash join.  Returns the result relation
+    module's :class:`Engine`), or ``"compiled"`` / ``"vectorized"``, two
+    names of :class:`repro.relalg.compiled.VectorizedEngine`, which
+    requires the default hash join.  Returns the result relation
     together with its execution statistics.
     """
     if engine == "interpreted":

@@ -10,6 +10,7 @@ every engine, so the slowest series run on the vectorized one.
 import pytest
 
 from repro.experiments import figures
+from repro.plans import plan_key
 
 
 @pytest.fixture
@@ -76,15 +77,33 @@ def test_deferred_distinct_moves_more_tuples_at_every_point(runs_of):
     assert tuples(series, "deferred", 5.0) == 24438
 
 
-def test_minibuckets_respect_the_ibound_and_exact_matches_bucket(runs_of):
+def test_minibuckets_respect_the_ibound_and_exact_matches_bucket(runs_of, monkeypatch):
+    """No relaxed intermediate is wider than i, and with no bucket split
+    mini-bucket elimination joins each bucket as bucket elimination
+    does: the same plans, hence the same tuples and answers."""
+    keys = {"exact": [], "bucket": []}
+    measure = figures.measure_plan
+
+    def recording(variant, plan, backend):
+        if variant in keys:
+            keys[variant].append(plan_key(plan))
+        return measure(variant, plan, backend)
+
+    monkeypatch.setattr(figures, "measure_plan", recording)
     series, runs = runs_of(figures.ablation_minibuckets, orders=(10, 12))
     for x in (10.0, 12.0):
         for ibound in (2, 3, 4):
             for run in runs[f"i{ibound}", x]:
                 assert run.max_intermediate_arity <= ibound
                 assert run.plan_width <= ibound
-        exact = [run.answer_cardinality for run in runs["exact", x]]
-        assert exact == [run.answer_cardinality for run in runs["bucket", x]]
+        exact, bucket = runs["exact", x], runs["bucket", x]
+        assert [r.answer_cardinality for r in exact] == [
+            r.answer_cardinality for r in bucket
+        ]
+        assert [r.total_intermediate_tuples for r in exact] == [
+            r.total_intermediate_tuples for r in bucket
+        ]
+    assert keys["exact"] == keys["bucket"]
 
 
 def test_rewriting_recovers_better_than_early_projection(runs_of):

@@ -1,7 +1,9 @@
-"""The compiled execution backend.
+"""The engine served under the name ``compiled``.
 
-The compiled engine's contract has two halves, and this module pins
-both:
+``make_engine("compiled")`` builds the vectorized engine
+(:class:`repro.relalg.compiled.VectorizedEngine`); the CLI, the service
+protocol and the benchmark select it by that name.  This module pins
+that the name keeps the contract, in both of its halves:
 
 - **Answers**: identical relations to the interpreted engine on every
   operator shape the compiler specializes — zero-copy scans, fused
@@ -20,6 +22,7 @@ invalidation, LRU bound) mirror ``tests/relalg/test_plan_cache.py``.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -29,10 +32,9 @@ from repro.plans import Join, Project, Scan, Semijoin
 from repro.relalg.compiled import (
     ENGINE_NAMES,
     ENGINES,
-    CompiledEngine,
     VectorizedEngine,
-    compiled_evaluate,
     make_engine,
+    vectorized_evaluate,
 )
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import Engine, evaluate
@@ -53,6 +55,10 @@ LOGICAL = (
 )
 
 
+#: The engine as the CLI and the service construct it by name.
+compiled = partial(make_engine, "compiled")
+
+
 @pytest.fixture
 def db():
     return edge_database()
@@ -64,7 +70,7 @@ def assert_parity(plan, database, *, cache: bool = False):
     expected, istats = Engine(
         database, plan_cache_size=size
     ).execute_with_stats(plan)
-    got, cstats = CompiledEngine(
+    got, cstats = compiled(
         database, plan_cache_size=size
     ).execute_with_stats(plan)
     assert got == expected
@@ -94,7 +100,7 @@ class TestOperatorShapes:
     def test_scan_arity_mismatch_raises_same_error(self, db):
         plan = Scan("edge", ("x", "y", "z"))
         with pytest.raises(SchemaError) as compiled_err:
-            CompiledEngine(db).execute(plan)
+            compiled(db).execute(plan)
         with pytest.raises(SchemaError) as interpreted_err:
             Engine(db).execute(plan)
         assert str(compiled_err.value) == str(interpreted_err.value)
@@ -202,7 +208,7 @@ class TestPlannedQueries:
         # The wide Project-over-Join intermediates are never materialized.
         plan = plan_query(self.QUERY, "straightforward", rng=random.Random(0))
         _, istats = Engine(db, plan_cache_size=0).execute_with_stats(plan)
-        _, cstats = CompiledEngine(db, plan_cache_size=0).execute_with_stats(plan)
+        _, cstats = compiled(db, plan_cache_size=0).execute_with_stats(plan)
         assert cstats.total_intermediate_tuples == istats.total_intermediate_tuples
         assert cstats.rows_built < istats.rows_built
 
@@ -212,10 +218,10 @@ class TestCacheSemantics:
 
     def test_cache_hits_replay_logical_stats(self, db):
         plan = plan_query(self.QUERY, "bucket", rng=random.Random(0))
-        _, uncached = CompiledEngine(db, plan_cache_size=0).execute_with_stats(
+        _, uncached = compiled(db, plan_cache_size=0).execute_with_stats(
             plan
         )
-        engine = CompiledEngine(db)
+        engine = compiled(db)
         engine.execute(plan)  # warm
         _, warm = engine.execute_with_stats(plan)
         for counter in LOGICAL:
@@ -227,13 +233,13 @@ class TestCacheSemantics:
     def test_shared_subtree_hits_once(self, db):
         scan = Scan("edge", ("a", "b"))
         stats = ExecutionStats()
-        CompiledEngine(db).execute(Join(scan, scan), stats=stats)
+        compiled(db).execute(Join(scan, scan), stats=stats)
         assert stats.cache_hits == 1
         assert stats.scans == 2  # replayed, matching an uncached run
 
     def test_disabled_cache_reports_no_traffic(self, db):
         plan = plan_query(self.QUERY, "bucket", rng=random.Random(0))
-        engine = CompiledEngine(db, plan_cache_size=0)
+        engine = compiled(db, plan_cache_size=0)
         stats = ExecutionStats()
         engine.execute(plan, stats=stats)
         engine.execute(plan, stats=stats)
@@ -242,7 +248,7 @@ class TestCacheSemantics:
 
     def test_generation_invalidates_compiled_code_and_cache(self, db):
         plan = Scan("edge", ("x", "y"))
-        engine = CompiledEngine(db)
+        engine = compiled(db)
         assert engine.execute(plan).cardinality == 6
         unit = engine._compile(plan)
         db.replace("edge", Relation(("u", "w"), [(1, 2)]))
@@ -253,13 +259,13 @@ class TestCacheSemantics:
         assert engine._compile(plan) is unit
 
     def test_lru_bound_holds(self, db):
-        engine = CompiledEngine(db, plan_cache_size=2)
+        engine = compiled(db, plan_cache_size=2)
         for i in range(5):
             engine.execute(Scan("edge", (f"v{i}", "w")))
         assert len(engine._cache) <= 2
 
     def test_clear_helpers(self, db):
-        engine = CompiledEngine(db)
+        engine = compiled(db)
         engine.execute(Scan("edge", ("x", "y")))
         assert engine._cache and engine._units
         engine.clear_plan_cache()
@@ -269,11 +275,11 @@ class TestCacheSemantics:
 
     def test_negative_cache_size_rejected(self, db):
         with pytest.raises(ValueError):
-            CompiledEngine(db, plan_cache_size=-1)
+            compiled(db, plan_cache_size=-1)
 
     def test_plan_cache_enabled_property(self, db):
-        assert CompiledEngine(db).plan_cache_enabled
-        assert not CompiledEngine(db, plan_cache_size=0).plan_cache_enabled
+        assert compiled(db).plan_cache_enabled
+        assert not compiled(db, plan_cache_size=0).plan_cache_enabled
 
 
 class TestRegistry:
@@ -283,11 +289,10 @@ class TestRegistry:
 
     def test_make_engine_by_name(self, db):
         assert isinstance(make_engine("interpreted", db), Engine)
-        assert isinstance(make_engine("compiled", db), CompiledEngine)
-        vectorized = make_engine("vectorized", db)
-        assert isinstance(vectorized, VectorizedEngine)
-        assert isinstance(vectorized, CompiledEngine)
-        assert type(make_engine("compiled", db)) is CompiledEngine
+        # Two names, one engine.
+        assert ENGINES["compiled"] is ENGINES["vectorized"] is VectorizedEngine
+        assert type(make_engine("compiled", db)) is VectorizedEngine
+        assert type(make_engine("vectorized", db)) is VectorizedEngine
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine("jitted", db)
 
@@ -305,8 +310,8 @@ class TestRegistry:
         compiled, _ = evaluate(plan, db, engine="compiled")
         assert compiled == interpreted
 
-    def test_compiled_evaluate_helper(self, db):
+    def test_vectorized_evaluate_helper(self, db):
         plan = Scan("edge", ("x", "y"))
-        result, stats = compiled_evaluate(plan, db)
+        result, stats = vectorized_evaluate(plan, db)
         assert result.cardinality == 6
         assert stats.scans == 1

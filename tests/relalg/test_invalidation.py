@@ -4,7 +4,7 @@ This suite pins the acceptance contract of the versioned-catalog layer:
 after mutating one relation in a multi-relation catalog, cached entries
 for plans that do *not* depend on it must still hit (``rows_built == 0``
 on a fully warm rerun), while plans that do depend on it recompute and
-observe the new data — across all three execution backends.  It also
+observe the new data — on every engine name.  It also
 covers the building blocks directly: :func:`repro.plans.dependencies`,
 :class:`repro.relalg.cache.DependencyCache`,
 :class:`repro.relalg.cache.CatalogVersionTracker`, and the uniform
@@ -12,6 +12,7 @@ covers the building blocks directly: :func:`repro.plans.dependencies`,
 """
 
 import builtins
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.plans import Join, Project, Scan, Semijoin, dependencies
 from repro.relalg import compiled
 from repro.relalg.cache import CatalogVersionTracker, DependencyCache
 from repro.relalg.columnar import clear_interning, numpy_module
-from repro.relalg.compiled import CompiledEngine, VectorizedEngine, make_engine
+from repro.relalg.compiled import VectorizedEngine, make_engine
 from repro.relalg.database import Database, database_from_tuples
 from repro.relalg.engine import Engine
 from repro.relalg.relation import Relation
@@ -30,7 +31,14 @@ from repro.service.prepared import PreparedStatement, canonicalize_query
 
 from tests.relalg.test_vectorized_engine import logical
 
-ENGINES = (Engine, CompiledEngine, VectorizedEngine)
+#: The caching engines by name: ``compiled`` and ``vectorized`` are one
+#: class, and both names stay covered, under the test ids they have
+#: always had.
+CACHING_ENGINES = (
+    pytest.param(partial(make_engine, "compiled"), id="CompiledEngine"),
+    pytest.param(VectorizedEngine, id="VectorizedEngine"),
+)
+ENGINES = (pytest.param(Engine, id="Engine"),) + CACHING_ENGINES
 
 
 def two_relation_db() -> Database:
@@ -280,7 +288,7 @@ class TestSelectiveRetention:
         assert (10,) not in after.rows
 
 
-@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+@pytest.mark.parametrize("engine_cls", CACHING_ENGINES)
 def test_compiled_units_survive_unrelated_mutations(engine_cls):
     """...and related ones: a unit is per plan shape and base schema, so
     a write to a relation of its footprint evicts the cached results
@@ -301,13 +309,11 @@ def test_compiled_units_survive_unrelated_mutations(engine_cls):
     assert len(engine._units) == units_before
 
 
-@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+@pytest.mark.parametrize("engine_cls", CACHING_ENGINES)
 def test_clear_interning_drops_all_compiled_state(engine_cls):
-    """All of it that can hold a code, that is.  The vectorized engine's
-    batches and cells are made of dictionary codes, so a pool-epoch
-    change drops its stores wholesale and the next execution lowers
-    again under the new epoch; the row engine holds no code anywhere
-    and keeps its units."""
+    """The engine's batches and cells are made of dictionary codes, so a
+    pool-epoch change drops its stores wholesale and the next execution
+    lowers again under the new epoch, whichever name built it."""
     db = two_relation_db()
     engine = engine_cls(db)
     expected = engine.execute(plan_over("r"))
@@ -316,8 +322,7 @@ def test_clear_interning_drops_all_compiled_state(engine_cls):
     clear_interning()
     assert engine.execute(plan_over("r")) == expected
     assert len(engine._units) > 0
-    kept = engine._compile(plan_over("r")) is stale
-    assert kept == (engine_cls is CompiledEngine)
+    assert engine._compile(plan_over("r")) is not stale
 
 
 def test_clear_interning_rederives_probe_structures(monkeypatch, array_builds):
@@ -405,16 +410,15 @@ CHAIN_PLANS = (
 @pytest.fixture
 def lowerings(monkeypatch):
     """Counts of what lowering costs, by name: ``_build_unit`` calls on
-    either compiled engine and ``builtins.compile`` calls from anywhere."""
+    the compiled engine and ``builtins.compile`` calls from anywhere."""
     counts = {"_build_unit": 0, "compile": 0}
-    for engine_cls in (CompiledEngine, VectorizedEngine):
-        original = engine_cls._build_unit
+    original = VectorizedEngine._build_unit
 
-        def build_unit(self, *args, _original=original):
-            counts["_build_unit"] += 1
-            return _original(self, *args)
+    def build_unit(self, *args):
+        counts["_build_unit"] += 1
+        return original(self, *args)
 
-        monkeypatch.setattr(engine_cls, "_build_unit", build_unit)
+    monkeypatch.setattr(VectorizedEngine, "_build_unit", build_unit)
     real_compile = builtins.compile
 
     def counting_compile(*args, **kwargs):
@@ -425,7 +429,7 @@ def lowerings(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+@pytest.mark.parametrize("engine_cls", CACHING_ENGINES)
 @pytest.mark.parametrize("cache_size", (0, 64))
 def test_writes_lower_nothing(engine_cls, cache_size, numpy_mode, lowerings):
     db = chain_db()
@@ -484,7 +488,7 @@ def test_rebind_lowers_nothing(engine_name, numpy_mode, lowerings):
     assert all(dep == "graph" for dep in engine._units._by_dep)
 
 
-@pytest.mark.parametrize("engine_cls", (CompiledEngine, VectorizedEngine))
+@pytest.mark.parametrize("engine_cls", CACHING_ENGINES)
 class TestReshapedRelations:
     """A unit goes when a relation of its footprint is dropped or changes
     columns — the only writes its layout can see."""
@@ -503,8 +507,8 @@ class TestReshapedRelations:
     def test_renamed_columns_lower_again(self, engine_cls):
         db = two_relation_db()
         engine = engine_cls(db)
-        # The semijoin probes the zero-copy scan's key index by base
-        # column *name* on the row engine: a stale layout would raise.
+        # A rename changes the schema the units were lowered against,
+        # so they go even though the positions stay.
         plan = Semijoin(Scan("r", ("x", "y")), Scan("s", ("y", "z")))
         stale = engine._compile(plan)
         engine.execute(plan)

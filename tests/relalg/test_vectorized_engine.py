@@ -1,8 +1,9 @@
 """The vectorized columnar execution backend.
 
-The vectorized engine inherits the compiled engine's contract — identical
-relations and identical logical work counters to the interpreted engine,
-``rows_built`` never higher — and adds a physical one of its own: unit
+The vectorized engine (also served as ``compiled``) keeps the engine
+contract — identical relations and identical logical work counters to
+the interpreted engine, ``rows_built`` never higher — and a physical
+one of its own: unit
 payloads are dictionary-encoded column batches, and every kernel except
 projection relies on the distinctness invariant (joins of distinct inputs
 are distinct, scans and semijoins preserve distinctness) to skip per-row
@@ -13,22 +14,19 @@ hashing.  This module pins:
   sides, semijoins, fused projections, Boolean outputs);
 - encoding round-trips for non-integer and mixed-type values;
 - the statically-empty path for constants that were never interned;
-- ``rows_built`` never above the row-compiled engine's (chain pipeline
-  fusion skips materializations the row lowering still performs, so the
-  vectorized physical counter may only ever be lower);
 - cache replay and catalog-generation invalidation on the batch payloads,
   and a warm hit that returns the root's decoded answer without decoding;
 - what lowering pays once: one code object per pipeline *signature*,
   shared through a bounded process-wide cache, and array-side build
   structures only on a unit's first array-path call;
-- what a cold pass lowers: only units that run, not many more objects
-  for the cyclic collector to track per unit than the row lowering, and
-  nothing left for it to free once the engine is dropped;
+- what a cold pass lowers: only units that run, few objects per unit
+  for the cyclic collector to track, and nothing left for it to free
+  once the engine is dropped;
 - the array kernels' key forms (bit-packed ``int64`` while the interning
   pool fits, void records past it, kept right sides probed in the form
   they were built in) and a chain's live-column gathers.
 
-The hypothesis-driven three-way differential lives in
+The hypothesis-driven differential lives in
 ``tests/test_compiled_differential.py``.
 """
 
@@ -46,12 +44,7 @@ from repro.errors import SchemaError
 from repro.plans import Join, Project, Scan, Semijoin
 from repro.relalg import columnar, compiled
 from repro.relalg.columnar import numpy_module
-from repro.relalg.compiled import (
-    ENGINE_NAMES,
-    CompiledEngine,
-    VectorizedEngine,
-    make_engine,
-)
+from repro.relalg.compiled import ENGINE_NAMES, VectorizedEngine, make_engine
 from repro.relalg.database import Database, edge_database
 from repro.relalg.engine import Engine
 from repro.relalg.relation import Relation
@@ -78,8 +71,7 @@ def db():
 
 def assert_parity(plan, database, *, cache: bool = False):
     """Vectorized output and logical stats match the interpreter's;
-    physical rows built never exceed the row-compiled engine's (chain
-    pipeline fusion skips materializations the row lowering performs)."""
+    physical rows built never exceed the interpreter's."""
     size = 128 if cache else 0
     expected, istats = Engine(
         database, plan_cache_size=size
@@ -93,10 +85,6 @@ def assert_parity(plan, database, *, cache: bool = False):
         assert getattr(vstats, counter) == getattr(istats, counter), counter
     assert vstats.arity_trace == istats.arity_trace
     assert vstats.rows_built <= istats.rows_built
-    _, cstats = CompiledEngine(
-        database, plan_cache_size=size
-    ).execute_with_stats(plan)
-    assert vstats.rows_built <= cstats.rows_built
     return got
 
 
@@ -555,11 +543,8 @@ class TestLoweringCounts:
 
     def test_units_hold_few_tracked_objects(self):
         plans = cold_plans()
-        for engine_cls in (CompiledEngine, VectorizedEngine):
-            self.tracked_per_unit(engine_cls, plans)  # process-wide memos
-        compiled_units = self.tracked_per_unit(CompiledEngine, plans)
-        vectorized_units = self.tracked_per_unit(VectorizedEngine, plans)
-        assert vectorized_units <= 1.5 * compiled_units
+        self.tracked_per_unit(VectorizedEngine, plans)  # process-wide memos
+        assert self.tracked_per_unit(VectorizedEngine, plans) <= 16.0
 
     @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
     def test_a_dropped_engine_needs_no_collector(self, engine_name, numpy_mode):
@@ -631,13 +616,10 @@ class TestOnDemandArrayStructures:
         expected, expected_stats = Engine(
             database, plan_cache_size=0
         ).execute_with_stats(plan)
-        row_compiled, row_stats = CompiledEngine(
-            database, plan_cache_size=0
-        ).execute_with_stats(plan)
         for execution in range(3):
             result, stats = engine.execute_with_stats(plan)
-            assert result == expected == row_compiled
-            assert logical(stats) == logical(expected_stats) == logical(row_stats)
+            assert result == expected
+            assert logical(stats) == logical(expected_stats)
             # One index per stage, built by the execution that tripped
             # the restart guard and kept for the ones after it.
             assert sorted(array_builds) == ["_npjoin_index", "_npsorted_keys"]
@@ -806,3 +788,90 @@ class TestChainLiveness:
         assert len(stages) == 8 and project is None
         assert kept == [tuple(range(st.arity)) for st in stages]
         assert array_builds == ["_npjoin_index"] * 8
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="the probe needs numpy")
+class TestFewMatchProbe:
+    """A zero-copy left scan of at least ``_ARRAY_MIN`` rows filtered by a
+    right side of a few rows — an anchored statement's shape — is served
+    by looking the right side's distinct keys up in the left relation's
+    memoized sorted column, and by the array kernel when many rows
+    match.  Either way the answers and the logical stats are the
+    interpreter's."""
+
+    @staticmethod
+    def database() -> Database:
+        return Database(
+            {
+                "big": Relation(("a", "b"), [(i % 200, i) for i in range(1000)]),
+                # Key 7 twice: the project-semijoin's right side keeps
+                # its extra column, so its keys repeat.
+                "small": Relation(("a", "b"), [(7, 1), (7, 2), (9, 1)]),
+                "one": Relation(("a",), [(7,)]),
+                "many": Relation(("a",), [(k,) for k in range(20)]),
+            }
+        )
+
+    BIG = Scan("big", ("x", "y"))
+    PLANS = {
+        "project-join": Project(Join(BIG, Scan("one", ("x",))), ("y",)),
+        "project-join-boolean": Project(Join(BIG, Scan("one", ("x",))), ()),
+        "project-join-over-projection": Project(
+            Join(BIG, Project(Scan("small", ("x", "z")), ("x",))), ("x", "y")
+        ),
+        "project-semijoin": Project(Semijoin(BIG, Scan("one", ("x",))), ("y",)),
+        "project-semijoin-repeated-key": Project(
+            Semijoin(BIG, Scan("small", ("x", "z"))), ("y",)
+        ),
+    }
+
+    @staticmethod
+    def run(plan, monkeypatch, cache_size: int) -> list[bool]:
+        """Execute ``plan`` twice on a fresh engine against the
+        interpreter; returns, per probe call, whether it served it."""
+        served = []
+        probe = compiled._vpj_probe
+
+        def recording(*args):
+            out = probe(*args)
+            served.append(out is not None)
+            return out
+
+        monkeypatch.setattr(compiled, "_vpj_probe", recording)
+        database = TestFewMatchProbe.database()
+        assert database.get("big").cardinality >= compiled._ARRAY_MIN
+        engine = make_engine("compiled", database, plan_cache_size=cache_size)
+        expected, expected_stats = Engine(
+            database, plan_cache_size=0
+        ).execute_with_stats(plan)
+        for _ in range(2):
+            result, stats = engine.execute_with_stats(plan)
+            assert result == expected
+            assert result.columns == expected.columns
+            assert logical(stats) == logical(expected_stats)
+        return served
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize("name", PLANS)
+    def test_probe_matches_the_interpreter(self, name, cache_size, monkeypatch):
+        served = self.run(self.PLANS[name], monkeypatch, cache_size)
+        assert served and all(served)
+
+    def test_many_matches_take_the_array_kernel(self, monkeypatch):
+        plan = Project(Semijoin(self.BIG, Scan("many", ("x",))), ("y",))
+        assert self.run(plan, monkeypatch, 0) == [False, False]
+
+    def test_one_sorted_index_per_relation_version(self):
+        database = self.database()
+        plan = self.PLANS["project-semijoin"]
+        for name in ("compiled", "vectorized"):
+            make_engine(name, database, plan_cache_size=0).execute(plan)
+        store = database.get("big").columnar()
+        assert list(store._sorted_indexes) == [0]
+        order, codes = store.sorted_index(0)
+        assert store.sorted_index(0)[0] is order
+        assert (codes[1:] >= codes[:-1]).all()
+        database.insert_rows("big", [(7, 5000)])
+        answer = make_engine("compiled", database).execute(plan)
+        assert (5000,) in answer.rows
+        assert database.get("big").columnar().sorted_index(0)[0] is not order

@@ -94,18 +94,22 @@ class TestDeepExecution:
             result = Engine(db, plan_cache_size=cache_size).execute(plan)
             assert result == base  # reducers remove nothing here
 
-    def test_compiled_engine_executes_deep_semijoin_chain(self):
-        # Both the compiler (post-order over 2000 nodes) and both run
-        # drivers (cached and uncached) must be stack-based; the _Unit
-        # dataclass also disables generated __repr__/__eq__, which would
-        # recurse through `children`.
-        from repro.relalg.compiled import CompiledEngine
+    def test_compiled_engine_executes_deep_semijoin_chain(self, monkeypatch):
+        # The engine by the name the CLI and the service use, on its
+        # array kernels (every batch takes them at threshold 1, with
+        # numpy).  Both the compiler (post-order over 2000 nodes) and
+        # both run drivers (cached and uncached) must be stack-based;
+        # the _Unit dataclass also disables generated __repr__/__eq__,
+        # which would recurse through `children`.
+        from repro.relalg import compiled
+        from repro.relalg.compiled import make_engine
 
+        monkeypatch.setattr(compiled, "_ARRAY_MIN", 1)
         db = edge_database()
         plan = deep_semijoin_chain()
         base = Engine(db).execute(Scan("edge", ("x", "y")))
         for cache_size in (0, 128):
-            engine = CompiledEngine(db, plan_cache_size=cache_size)
+            engine = make_engine("compiled", db, plan_cache_size=cache_size)
             result, cstats = engine.execute_with_stats(plan)
             assert result == base
             _, istats = Engine(
@@ -119,9 +123,8 @@ class TestDeepExecution:
             assert cstats.arity_trace == istats.arity_trace
 
     def test_vectorized_engine_executes_deep_semijoin_chain(self):
-        # The vectorized lowering shares the iterative compiler and run
-        # drivers, but its scan/semijoin kernels (and the columnar scan
-        # binding) are new code paths — pin them at full depth too.
+        # The same at full depth on the row kernels, which every batch
+        # of the edge relation takes at the default threshold.
         from repro.relalg.compiled import VectorizedEngine
 
         db = edge_database()

@@ -9,7 +9,8 @@ physical/cache counters (``cache_hits``, ``cache_misses``,
 ``rows_built``) may improve.
 
 The suite drives random acyclic instances through all six planning
-methods on all three engines: both engines observe the *same* mutating
+methods on every distinct engine class (``compiled`` and ``vectorized``
+name one): both engines of a pair observe the *same* mutating
 database (the baseline emulating the pre-versioning behaviour by calling
 ``clear_cache()`` after every write), with random insert / delete /
 replace / drop-and-re-add / column-renaming mutations interleaved
@@ -24,14 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import METHODS, plan_query
-from repro.relalg.compiled import CompiledEngine, VectorizedEngine
+from repro.relalg import compiled
 from repro.relalg.database import Database
-from repro.relalg.engine import Engine
 from repro.relalg.relation import Relation
 
 from tests.core.test_yannakakis_property import acyclic_instances
 
-ENGINES = (Engine, CompiledEngine, VectorizedEngine)
+#: One leg per distinct engine class, the interpreter first.
+ENGINES = tuple(dict.fromkeys(compiled.ENGINES.values()))
 
 LOGICAL = (
     "joins",
@@ -120,8 +121,8 @@ def test_selective_retention_equals_whole_drop(pair, seed):
 @given(acyclic_instances(), st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_selective_engines_agree_across_backends(pair, seed):
-    """Under one shared mutation stream, the three selectively-caching
-    backends stay answer- and logical-stats-identical to each other."""
+    """Under one shared mutation stream, the selectively-caching engines
+    stay answer- and logical-stats-identical to each other."""
     query, database = pair
     plan = plan_query(query, "bucket", rng=random.Random(3))
     db = copy_database(database)
